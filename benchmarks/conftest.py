@@ -1,10 +1,10 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures (see
-DESIGN.md's per-experiment index) and additionally measures the wall-clock
+Every benchmark regenerates one of the paper's tables or figures (each
+module's docstring names which) and additionally measures the wall-clock
 cost of the operation via pytest-benchmark.  The reproduced rows are printed
 with ``-s`` / captured in the benchmark output so they can be compared with
-the paper side by side; EXPERIMENTS.md records that comparison.
+the paper side by side.
 
 Two harness modes exist (PERFORMANCE.md, "Running the benchmarks"):
 
@@ -12,7 +12,8 @@ Two harness modes exist (PERFORMANCE.md, "Running the benchmarks"):
 * the **quick** mode (``BENCH_QUICK=1``, or selecting the ``quick`` marker)
   runs each bench at its smallest configured size.
 
-In both modes the session writes ``BENCH_closure.json`` at the repo root via
+In both modes the session writes ``BENCH_closure.json`` (to the directory
+:func:`bench_json_path` picks) via
 :func:`repro.bench.reporting.write_bench_json`: wall-clock timings of the
 incremental closure engine (:func:`~repro.semantics.restrictors.recursive_closure`)
 against the pre-incremental baseline
@@ -25,6 +26,7 @@ workloads, giving future PRs a perf trajectory to compare against.
 from __future__ import annotations
 
 import gc
+import os
 import time
 from pathlib import Path as FilePath
 
@@ -81,6 +83,25 @@ def pytest_configure(config: pytest.Config) -> None:
     # Either entry point to quick mode — the env var or selecting the quick
     # marker — must also shrink the trajectory measurement below.
     _quick_session = quick_mode() or "quick" in (config.option.markexpr or "")
+
+
+@pytest.fixture(scope="session")
+def bench_json_path():
+    """Resolve where this session writes a ``BENCH_*.json`` report.
+
+    Measuring is not verifying: a plain run (tier-1 included) writes under the
+    git-ignored ``.benchmarks/`` and leaves the tracked trajectories alone;
+    ``BENCH_WRITE=1`` is the deliberate act of regenerating them in place.
+    """
+
+    def resolve(name: str) -> str:
+        if os.environ.get("BENCH_WRITE") == "1":
+            return str(_REPO_ROOT / name)
+        directory = _REPO_ROOT / ".benchmarks"
+        directory.mkdir(exist_ok=True)
+        return str(directory / name)
+
+    return resolve
 
 
 @pytest.fixture(scope="module")
@@ -234,12 +255,12 @@ def _closure_trajectory_entries() -> list[dict]:
 
 
 @pytest.fixture(scope="session", autouse=True)
-def closure_perf_trajectory() -> None:
+def closure_perf_trajectory(bench_json_path) -> None:
     """Write BENCH_closure.json after the benchmark session (both modes)."""
     yield
     entries = _closure_trajectory_entries()
     write_bench_json(
-        str(_REPO_ROOT / "BENCH_closure.json"),
+        bench_json_path("BENCH_closure.json"),
         "closure-incremental-vs-baseline",
         entries,
         metadata={

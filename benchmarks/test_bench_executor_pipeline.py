@@ -12,15 +12,14 @@ to end through the engine facade on the streaming workloads of
   workload the pipeline must win;
 * **plan cache**: a repeated hot query skips parse/plan/optimize entirely.
 
-The session writes ``BENCH_engine.json`` at the repo root with the measured
-timings and speedups, extending the perf trajectory next to
-``BENCH_closure.json``.
+The session writes ``BENCH_engine.json`` (where conftest's ``bench_json_path``
+says) with the measured timings and speedups, extending the perf trajectory
+next to ``BENCH_closure.json``.
 """
 
 from __future__ import annotations
 
 import time
-from pathlib import Path as FilePath
 
 import pytest
 
@@ -29,7 +28,6 @@ from repro.bench.workloads import executor_workloads, quick_mode
 from repro.engine.engine import PathQueryEngine
 from repro.rpq.compile import compile_regex
 
-_REPO_ROOT = FilePath(__file__).resolve().parent.parent
 
 WORKLOADS = executor_workloads()
 
@@ -143,11 +141,11 @@ def test_executor_report(measured) -> None:
 
 
 @pytest.fixture(scope="module", autouse=True)
-def engine_perf_trajectory(measured) -> None:
+def engine_perf_trajectory(measured, bench_json_path) -> None:
     """Write BENCH_engine.json after the module's measurements (both modes)."""
     yield
     write_bench_json(
-        str(_REPO_ROOT / "BENCH_engine.json"),
+        bench_json_path("BENCH_engine.json"),
         "executor-materialize-vs-pipeline",
         measured,
         metadata={

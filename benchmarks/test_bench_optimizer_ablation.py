@@ -1,7 +1,7 @@
 """E-S2 — optimizer ablation: rewrite rules on vs. off across label selectivities.
 
-DESIGN.md calls out two design decisions for ablation: selection pushdown
-(Figure 6) and the walk-to-shortest rewrite (Section 7.3).  This experiment
+Two design decisions are ablated: selection pushdown (Figure 6) and the
+walk-to-shortest rewrite (Section 7.3).  This experiment
 measures both on synthetic graphs whose label selectivity varies, comparing
 the optimized and unoptimized plans' evaluation cost and intermediate result
 counts; results must agree in every configuration.

@@ -25,7 +25,6 @@ from repro.api import connect
 from repro.bench.workloads import quick_mode
 from repro.datasets.ldbc import LDBCParameters, ldbc_like_graph
 
-_REPO_ROOT = FilePath(__file__).resolve().parent.parent
 
 #: Requests per run.  Every request carries a *distinct* constant (ages
 #: 18..80 are unique per request), the defining property of the workload:
@@ -112,7 +111,7 @@ def test_report(measured) -> None:
 
 
 @pytest.fixture(scope="module", autouse=True)
-def merge_into_engine_trajectory(measured) -> None:
+def merge_into_engine_trajectory(measured, bench_json_path) -> None:
     """Merge the ``prepared_queries`` section into BENCH_engine.json.
 
     The executor benchmark owns the file (it rewrites it wholesale); this
@@ -122,7 +121,7 @@ def merge_into_engine_trajectory(measured) -> None:
     standalone.
     """
     yield
-    path = _REPO_ROOT / "BENCH_engine.json"
+    path = FilePath(bench_json_path("BENCH_engine.json"))
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):

@@ -29,7 +29,6 @@ report means something.
 from __future__ import annotations
 
 import os
-from pathlib import Path as FilePath
 
 import pytest
 
@@ -42,7 +41,6 @@ from repro.bench.reporting import print_table
 from repro.bench.workloads import quick_mode
 from repro.datasets.ldbc import LDBCParameters
 
-_REPO_ROOT = FilePath(__file__).resolve().parent.parent
 
 NUM_EVENTS = 16 if quick_mode() else 60
 PARAMETERS = LDBCParameters(num_persons=50, num_messages=100, seed=42)
@@ -54,14 +52,14 @@ CONFIGS = (
 
 
 @pytest.fixture(scope="module")
-def report() -> dict:
+def report(bench_json_path) -> dict:
     trace = generate_ldbc_trace(
         num_events=NUM_EVENTS, seed=7, parameters=PARAMETERS
     )
     return run_replay(
         trace,
         list(CONFIGS),
-        json_path=str(_REPO_ROOT / "BENCH_replay.json"),
+        json_path=bench_json_path("BENCH_replay.json"),
     )
 
 

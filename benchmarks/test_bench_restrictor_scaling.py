@@ -1,7 +1,8 @@
 """E-S3 — restrictor cost profile: pruning inside ϕ vs. enumerate-then-filter.
 
-DESIGN.md design decision 1: the production evaluator prunes non-conforming
-paths *during* the fix point, while the reference strategy enumerates bounded
+The design decision under test (PERFORMANCE.md, "The closure execution
+model"): the production evaluator prunes non-conforming paths *during* the
+fix point, while the reference strategy enumerates bounded
 walks and filters afterwards.  This experiment measures both strategies for
 each restrictor on cyclic graphs, layered DAGs and dense cliques of
 increasing size, asserts they agree, and reports how the restrictor choice

@@ -42,8 +42,8 @@ delta-aware invalidation"):
   under each fsync policy, so the durability cost of ``always`` is on the
   record next to the cache wins.
 
-The session writes ``BENCH_service.json`` at the repo root with the
-timings, throughputs, speedups and hit rates.
+The session writes ``BENCH_service.json`` (where conftest's
+``bench_json_path`` says) with the timings, throughputs, speedups and hit rates.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from repro.engine.engine import PathQueryEngine
 from repro.graph.wal import FSYNC_POLICIES, DurableStore
 from repro.service import QueryService
 
-_REPO_ROOT = FilePath(__file__).resolve().parent.parent
 
 WORKLOADS = service_workloads()
 MIXED = mixed_service_workload()
@@ -387,7 +386,7 @@ def test_fsync_policies_are_ordered_and_counted(fsync_measured) -> None:
 
 
 @pytest.fixture(scope="module", autouse=True)
-def write_report(measured, mixed_measured, fsync_measured) -> None:
+def write_report(measured, mixed_measured, fsync_measured, bench_json_path) -> None:
     yield
     entries = [entry for workload in WORKLOADS for entry in measured[workload.name]]
     entries.extend(mixed_measured["entries"])
@@ -425,7 +424,7 @@ def write_report(measured, mixed_measured, fsync_measured) -> None:
         title="Query-service throughput (serial engine vs QueryService)",
     )
     write_bench_json(
-        str(_REPO_ROOT / "BENCH_service.json"),
+        bench_json_path("BENCH_service.json"),
         "service-throughput",
         entries,
         metadata={

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.algebra.conditions import Condition
-from repro.algebra.solution_space import GroupByKey, OrderByKey, ProjectionSpec
+from repro.algebra.solution_space import ALL, GroupByKey, OrderByKey, ProjectionSpec
 from repro.semantics.restrictors import Restrictor
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "GroupBy",
     "OrderBy",
     "Projection",
+    "identity_crown_input",
     "walk",
     "trail",
     "acyclic",
@@ -310,6 +311,40 @@ class Projection(Expression):
 
     def __str__(self) -> str:
         return f"{self.operator_name()}({self.child})"
+
+
+def identity_crown_input(plan: Expression) -> Expression | None:
+    """Return ``E`` when ``plan`` is a solution-space crown that returns exactly ``E``'s paths.
+
+    * ``π(*,*,*)(γψ(E))``, every ψ: group-by only arranges paths and this
+      projection drops none.  (``π(*,*,*)`` straight over a path set is
+      evaluated as ``π(*,*,*)(γ(E))`` and counts; an order-by in between does
+      not — it asks for an order the caller can see.)
+    * ``π(*,1,*)(τG(γSTL(ϕShortest(X))))``: ϕShortest keeps only the
+      minimum-length paths of an endpoint pair, so every (source, target)
+      partition holds one length group and its first group is all of it.
+
+    The one definition of the fact: the optimizer eliminates such crowns, the
+    pipeline streams through them, the automaton classifier looks past them.
+    """
+    if not isinstance(plan, Projection):
+        return None
+    child = plan.child
+    if plan.spec == ProjectionSpec():
+        if isinstance(child, GroupBy):
+            return child.child
+        return None if child.returns_solution_space() else child
+    if (
+        plan.spec == ProjectionSpec(ALL, 1, ALL)
+        and isinstance(child, OrderBy)
+        and child.key is OrderByKey.G
+        and isinstance(child.child, GroupBy)
+        and child.child.key is GroupByKey.STL
+    ):
+        closure = child.child.child
+        if isinstance(closure, Recursive) and closure.restrictor is Restrictor.SHORTEST:
+            return closure
+    return None
 
 
 # ----------------------------------------------------------------------

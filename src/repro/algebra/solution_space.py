@@ -165,7 +165,8 @@ class Group:
     """A group of paths inside a partition.
 
     ``key`` records the grouping values that induced the group (e.g. a length
-    for γL, or nothing for γ).  ``rank`` is the value of the ``△`` function.
+    for γL, or nothing for γ).  ``rank`` is the value of the ``△`` function;
+    ``path_ranks`` holds ``△(p)`` for the paths an order-by ranked (the rest are 1).
     """
 
     key: tuple = ()
@@ -185,6 +186,8 @@ class Group:
 
     def sorted_paths(self) -> list[Path]:
         """Paths sorted by ``△`` (stable: insertion order breaks ties)."""
+        if not self.path_ranks:  # no τA ranked a path: the stored order is the sorted order
+            return list(self.paths)
         return sorted(self.paths, key=lambda path: self.path_ranks.get(path, 1))
 
     def __len__(self) -> int:
@@ -233,6 +236,7 @@ class SolutionSpace:
     def __init__(self, partitions: Iterable[Partition] = (), grouping: GroupByKey = GroupByKey.NONE) -> None:
         self.partitions: list[Partition] = list(partitions)
         self.grouping = grouping
+        self.unique = False  #: set by :func:`group_by` for a PathSet input: no path repeats
 
     # ------------------------------------------------------------------
     # Introspection
@@ -251,18 +255,15 @@ class SolutionSpace:
 
     def all_paths(self) -> PathSet:
         """Return the underlying set of paths ``S``."""
-        result = PathSet()
-        for partition in self.partitions:
-            for group in partition.groups:
-                result.update(group.paths)
-        return result
+        paths = [path for partition in self.partitions for group in partition.groups for path in group.paths]
+        return PathSet.from_unique(paths) if self.unique else PathSet(paths)
 
     def groups(self) -> list[Group]:
         """Return every group across all partitions."""
         return [group for partition in self.partitions for group in partition.groups]
 
     def partition_for(self, path: Path) -> Partition | None:
-        """Return the partition containing ``path`` (``β(α(p))``), or ``None``."""
+        """Return the partition containing ``path`` (``β(α(p))``), or ``None`` (linear scan)."""
         for partition in self.partitions:
             for group in partition.groups:
                 if path in group.paths:
@@ -270,7 +271,7 @@ class SolutionSpace:
         return None
 
     def group_for(self, path: Path) -> Group | None:
-        """Return the group containing ``path`` (``α(p)``), or ``None``."""
+        """Return the group containing ``path`` (``α(p)``), or ``None``; a linear scan, for tests."""
         for partition in self.partitions:
             for group in partition.groups:
                 if path in group.paths:
@@ -324,31 +325,30 @@ def group_by(paths: PathSet | Iterable[Path], key: GroupByKey | str = GroupByKey
     path_list = list(paths)
 
     partitions: dict[tuple, Partition] = {}
-    groups: dict[tuple[tuple, tuple], Group] = {}
+    if key is GroupByKey.NONE:
+        if path_list:
+            partitions[()] = Partition(groups=[Group(paths=path_list)])
+    else:
+        by_source, by_target, by_length = key.uses_source, key.uses_target, key.uses_length
+        groups: dict[tuple[tuple, tuple], Group] = {}
+        for path in path_list:
+            if by_source:
+                partition_key = (path.first(), path.last()) if by_target else (path.first(),)
+            else:
+                partition_key = (path.last(),) if by_target else ()
+            group_key = (path.len(),) if by_length else ()
+            group = groups.get((partition_key, group_key))
+            if group is None:
+                partition = partitions.get(partition_key)
+                if partition is None:
+                    partition = partitions[partition_key] = Partition(key=partition_key)
+                group = groups[(partition_key, group_key)] = Group(key=group_key)
+                partition.groups.append(group)
+            group.paths.append(path)
 
-    for path in path_list:
-        partition_key: tuple = ()
-        if key.uses_source:
-            partition_key += (path.first(),)
-        if key.uses_target:
-            partition_key += (path.last(),)
-        group_key: tuple = ()
-        if key.uses_length:
-            group_key += (path.len(),)
-
-        partition = partitions.get(partition_key)
-        if partition is None:
-            partition = Partition(key=partition_key)
-            partitions[partition_key] = partition
-        group = groups.get((partition_key, group_key))
-        if group is None:
-            group = Group(key=group_key)
-            groups[(partition_key, group_key)] = group
-            partition.groups.append(group)
-        group.paths.append(path)
-        group.path_ranks[path] = 1
-
-    return SolutionSpace(partitions.values(), grouping=key)
+    space = SolutionSpace(partitions.values(), grouping=key)
+    space.unique = isinstance(paths, PathSet)
+    return space
 
 
 # ----------------------------------------------------------------------
@@ -361,20 +361,23 @@ def order_by(space: SolutionSpace, key: OrderByKey | str) -> SolutionSpace:
     * θ containing ``G``: every group gets rank ``MinL(G)``;
     * θ containing ``A``: every path gets rank ``Len(p)``.
 
-    Components absent from θ keep their previous rank unchanged.
+    Components absent from θ keep their previous rank unchanged.  The input
+    space is left as it was; the result shares its path lists with it.
     """
     if isinstance(key, str):
         key = OrderByKey.from_string(key)
-    result = space.copy()
-    for partition in result.partitions:
-        if key.orders_partitions:
-            partition.rank = partition.min_length() if partition.groups else partition.rank
+    by_partition, by_group, by_path = key.orders_partitions, key.orders_groups, key.orders_paths
+    partitions = []
+    for partition in space.partitions:
+        groups = []
         for group in partition.groups:
-            if key.orders_groups:
-                group.rank = group.min_length() if group.paths else group.rank
-            if key.orders_paths:
-                for path in group.paths:
-                    group.path_ranks[path] = path.len()
+            rank = group.min_length() if by_group and group.paths else group.rank
+            ranks = {path: path.len() for path in group.paths} if by_path else group.path_ranks
+            groups.append(Group(group.key, group.paths, rank, ranks))
+        rank = partition.min_length() if by_partition and groups else partition.rank
+        partitions.append(Partition(partition.key, groups, rank))
+    result = SolutionSpace(partitions, space.grouping)
+    result.unique = space.unique
     return result
 
 
@@ -390,16 +393,8 @@ def project(space: SolutionSpace, spec: ProjectionSpec | tuple = ProjectionSpec(
     """
     if isinstance(spec, tuple):
         spec = ProjectionSpec(*spec)
-    output = PathSet()
-
-    sorted_partitions = space.sorted_partitions()
-    max_partitions = spec.limit_partitions(len(sorted_partitions))
-    for partition in sorted_partitions[:max_partitions]:
-        sorted_groups = partition.sorted_groups()
-        max_groups = spec.limit_groups(len(sorted_groups))
-        for group in sorted_groups[:max_groups]:
-            sorted_paths = group.sorted_paths()
-            max_paths = spec.limit_paths(len(sorted_paths))
-            for path in sorted_paths[:max_paths]:
-                output.add(path)
-    return output
+    selected: list[Path] = []
+    for partition in space.sorted_partitions()[: spec.limit_partitions(len(space.partitions))]:
+        for group in partition.sorted_groups()[: spec.limit_groups(len(partition.groups))]:
+            selected += group.sorted_paths()[: spec.limit_paths(len(group.paths))]
+    return PathSet.from_unique(selected) if space.unique else PathSet(selected)

@@ -9,8 +9,8 @@ length bound (walk).
 
 The baseline returns full paths, like the algebra, so results can be compared
 path-for-path; the benchmark harness uses it to quantify the constant-factor
-gap between a specialized algorithm and the algebraic evaluator (DESIGN.md,
-experiment E-S1).
+gap between a specialized algorithm and the algebraic evaluator
+(``benchmarks/test_bench_scaling_baselines.py``, experiment E-S1).
 """
 
 from __future__ import annotations

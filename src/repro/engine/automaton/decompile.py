@@ -19,10 +19,8 @@ Supported shapes (``classify_plan``):
   → the restrictor closure of the base set ``L(R)``;
 * ``Union(Recursive(inner, r, ml), NodesScan())`` — the ``R*`` compile shape:
   the closure above plus every length-zero node path;
-* the ``ALL SHORTEST`` crown ``π(*,1,*)(τG(γSTL(ϕShortest(...))))`` produced
-  by the ``walk-to-shortest`` rewrite — the crown is an identity over
-  ϕShortest output (one length group per endpoint partition), so the inner
-  closure's stream passes through unchanged.
+* any of the above under an identity crown (``identity_crown_input``) — an
+  ``ALL`` query the optimizer did not see; it removes such crowns otherwise.
 
 A ϕWalk closure with no bound (neither its own ``max_length`` nor the
 engine's ``default_max_length``) is rejected so the fallback path can raise
@@ -37,16 +35,13 @@ from repro.algebra.conditions import Comparator, LabelCondition, Target
 from repro.algebra.expressions import (
     EdgesScan,
     Expression,
-    GroupBy,
     Join,
     NodesScan,
-    OrderBy,
-    Projection,
     Recursive,
     Selection,
     Union,
+    identity_crown_input,
 )
-from repro.algebra.solution_space import GroupByKey, OrderByKey
 from repro.rpq.ast import (
     Alternation,
     AnyLabel,
@@ -82,15 +77,12 @@ class AutomatonPlan:
         restrictor: The closure restrictor (``WALK`` for ``"walks"``).
         max_length: The *effective* closure bound — the plan's own
             ``max_length`` if set, else the engine ``default_max_length``.
-        crowned: ``True`` when an ``ALL SHORTEST`` projection crown was
-            stripped (the crown is an identity over ϕShortest output).
     """
 
     kind: str
     regex: RegexNode
     restrictor: Restrictor
     max_length: int | None
-    crowned: bool = False
 
 
 def decompile_plan(plan: Expression) -> RegexNode | None:
@@ -156,9 +148,7 @@ def max_word_length(regex: RegexNode) -> int | None:
     return None
 
 
-def _classify_recursive(
-    plan: Recursive, default_max_length: int | None, *, crowned: bool = False
-) -> AutomatonPlan | None:
+def _classify_recursive(plan: Recursive, default_max_length: int | None) -> AutomatonPlan | None:
     regex = decompile_plan(plan.child)
     if regex is None or max_word_length(regex) is None:
         return None
@@ -167,41 +157,14 @@ def _classify_recursive(
         # ϕWalk without any bound raises NonTerminatingQueryError in the
         # evaluator (cycle guard); let the fallback replicate it exactly.
         return None
-    return AutomatonPlan("closure", regex, plan.restrictor, bound, crowned=crowned)
-
-
-def _strip_all_shortest_crown(plan: Expression) -> Recursive | None:
-    """Match ``π(*,1,*)(τG(γSTL(ϕShortest(...))))`` and return the closure.
-
-    ϕShortest emits, per (source, target) partition, only minimum-length
-    paths — a single STL length group.  Keeping one group per partition and
-    all paths in it is therefore an identity, so the inner closure can stream
-    straight through the crown.
-    """
-    if not isinstance(plan, Projection):
-        return None
-    spec = plan.spec
-    if not (spec.partitions == "*" and spec.groups == 1 and spec.paths == "*"):
-        return None
-    order = plan.child
-    if not (isinstance(order, OrderBy) and order.key is OrderByKey.G):
-        return None
-    group = order.child
-    if not (isinstance(group, GroupBy) and group.key is GroupByKey.STL):
-        return None
-    inner = group.child
-    if isinstance(inner, Recursive) and inner.restrictor is Restrictor.SHORTEST:
-        return inner
-    return None
+    return AutomatonPlan("closure", regex, plan.restrictor, bound)
 
 
 def classify_plan(
     plan: Expression, default_max_length: int | None = None
 ) -> AutomatonPlan | None:
     """Return the native evaluation shape of ``plan``, or ``None``."""
-    crown = _strip_all_shortest_crown(plan)
-    if crown is not None:
-        return _classify_recursive(crown, default_max_length, crowned=True)
+    plan = identity_crown_input(plan) or plan
     if isinstance(plan, Recursive):
         return _classify_recursive(plan, default_max_length)
     if (

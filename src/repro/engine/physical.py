@@ -40,8 +40,9 @@ from repro.algebra.expressions import (
     Recursive,
     Selection,
     Union,
+    identity_crown_input,
 )
-from repro.algebra.solution_space import ALL, group_by, order_by, project
+from repro.algebra.solution_space import group_by, order_by, project
 from repro.errors import EvaluationError
 from repro.execution import ExecutionStatistics, QueryBudget
 from repro.graph.model import PropertyGraph
@@ -299,41 +300,28 @@ class _SolutionSpaceOp(_PhysicalOperator):
     A projection over (order-by over) group-by is executed as one unit so the
     projection limits can be applied without materializing more than the
     grouped structure requires.  The chain is inherently blocking *only when
-    a projection can actually drop paths*: a chain whose projections keep
-    everything (``ALL PARTITIONS ALL GROUPS ALL PATHS`` — the plan shape of
-    the GQL ``ALL`` selector) returns exactly the child's path set, so it
-    streams the child through untouched instead of materializing it.
+    it can drop or reorder paths*: a chain of identity crowns (a GQL ``ALL``
+    selector the optimizer did not see: ``optimize=False``) returns exactly the
+    child's path set, so it streams the child through instead of materializing it.
     """
 
     def __init__(
         self,
-        expression: Projection | GroupBy | OrderBy,
         child: _PhysicalOperator,
         pipeline: list[Expression],
         statistics: PipelineStatistics,
         budget: QueryBudget | None = None,
     ) -> None:
-        super().__init__(expression.operator_name(), statistics, budget)
+        super().__init__(pipeline[-1].operator_name(), statistics, budget)
         self._child = child
         self._pipeline = pipeline
 
     def _streams_through(self) -> bool:
-        """``True`` when the chain provably keeps every child path *in order*.
-
-        Group-by only restructures the solution space, so the path set — and
-        the order paths stream out in — survives it.  Two stages force the
-        blocking path: a projection with a numeric component (it drops
-        paths), and an order-by (it defines a caller-visible ordering that a
-        pass-through would silently discard).
-        """
-        for stage in self._pipeline:
-            if isinstance(stage, OrderBy):
-                return False
-            if isinstance(stage, Projection):
-                spec = stage.spec
-                if not (spec.partitions == ALL and spec.groups == ALL and spec.paths == ALL):
-                    return False
-        return True
+        """``True`` when the whole chain peels off as identity crowns."""
+        node: Expression | None = self._pipeline[-1]
+        while isinstance(node, (GroupBy, OrderBy, Projection)):
+            node = identity_crown_input(node)
+        return node is not None
 
     def paths(self) -> Iterator[Path]:
         if self._streams_through():
@@ -470,7 +458,7 @@ def _build(
     if isinstance(plan, (GroupBy, OrderBy, Projection)):
         pipeline, base = _collect_solution_space_pipeline(plan)
         child = _build(base, graph, statistics, default_max_length, budget)
-        return _SolutionSpaceOp(plan, child, pipeline, statistics, budget)
+        return _SolutionSpaceOp(child, pipeline, statistics, budget)
     raise EvaluationError(f"cannot build a physical operator for {type(plan).__name__}")
 
 

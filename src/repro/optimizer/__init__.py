@@ -4,6 +4,7 @@ from repro.optimizer.cost import CostModel, PlanCost, estimate_cost
 from repro.optimizer.engine import OptimizationResult, Optimizer, optimize
 from repro.optimizer.rules import (
     DEFAULT_RULES,
+    EliminateIdentityCrown,
     MergeSelections,
     PushSelectionBelowUnion,
     PushSelectionIntoJoin,
@@ -25,6 +26,7 @@ __all__ = [
     "RemoveRedundantOrderBy",
     "WalkToShortest",
     "SimplifyUnionDuplicates",
+    "EliminateIdentityCrown",
     "CostModel",
     "PlanCost",
     "estimate_cost",

@@ -56,11 +56,15 @@ class Optimizer:
         applied: list[str] = []
         current = plan
         for pass_number in range(1, _MAX_PASSES + 1):
-            rewritten, fired = self._rewrite_once(current)
-            applied.extend(fired)
-            if not fired:
-                return OptimizationResult(plan, current, applied, pass_number - 1)
-            current = rewritten
+            fired: list[tuple[str, bool]] = []  # per firing: (rule name, built a new node)
+            current = self._rewrite_node(current, fired)
+            applied.extend(name for name, _ in fired)
+            # Rules see only the subtree they are applied to, so a rewrite that
+            # answers with a subtree of its input yields nodes every rule was
+            # already tried on: only a pass that built new nodes needs another
+            # to confirm the fix point.
+            if not any(built for _, built in fired):
+                return OptimizationResult(plan, current, applied, pass_number if fired else pass_number - 1)
         raise OptimizerError(
             f"optimization did not reach a fix point within {_MAX_PASSES} passes; "
             f"rules applied so far: {applied}"
@@ -69,20 +73,15 @@ class Optimizer:
     # ------------------------------------------------------------------
     # One bottom-up pass
     # ------------------------------------------------------------------
-    def _rewrite_once(self, expression: Expression) -> tuple[Expression, list[str]]:
-        fired: list[str] = []
-        rewritten = self._rewrite_node(expression, fired)
-        return rewritten, fired
-
-    def _rewrite_node(self, expression: Expression, fired: list[str]) -> Expression:
-        rebuilt = self._rebuild_with_children(
-            expression,
-            tuple(self._rewrite_node(child, fired) for child in expression.children()),
-        )
+    def _rewrite_node(self, expression: Expression, fired: list[tuple[str, bool]]) -> Expression:
+        children = expression.children()
+        rewritten = tuple(self._rewrite_node(child, fired) for child in children)
+        # Nodes are immutable values: with no child changed, the node is its own rebuild.
+        rebuilt = expression if rewritten == children else self._rebuild_with_children(expression, rewritten)
         for rule in self.rules:
             result = rule.apply(rebuilt)
             if result is not None and result != rebuilt:
-                fired.append(rule.name)
+                fired.append((rule.name, all(result is not node for node in rebuilt.iter_subtree())))
                 return result
         return rebuilt
 
@@ -91,8 +90,6 @@ class Optimizer:
         expression: Expression, children: tuple[Expression, ...]
     ) -> Expression:
         """Return a copy of ``expression`` with its children replaced."""
-        if not children:
-            return expression
         if isinstance(expression, Selection):
             return Selection(expression.condition, children[0])
         if isinstance(expression, Join):

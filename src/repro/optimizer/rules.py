@@ -18,7 +18,9 @@ Implemented rules:
 * :class:`WalkToShortest` — replace ``ϕWalk`` by ``ϕShortest`` under the
   ``ANY SHORTEST`` / ``ALL SHORTEST`` pipelines of Table 7, which restores
   termination on cyclic graphs (Section 7.3);
-* :class:`SimplifyUnionDuplicates` — ``A ∪ A -> A``.
+* :class:`SimplifyUnionDuplicates` — ``A ∪ A -> A``;
+* :class:`EliminateIdentityCrown` — ``π(*,*,*)(γψ(E)) -> E`` (Table 7's ``ALL``)
+  and ``π(*,1,*)(τG(γSTL(ϕShortest(X)))) -> ϕShortest(X)``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from repro.algebra.expressions import (
     Recursive,
     Selection,
     Union,
+    identity_crown_input,
 )
 from repro.algebra.solution_space import GroupByKey, OrderByKey
 from repro.semantics.restrictors import Restrictor
@@ -51,6 +54,7 @@ __all__ = [
     "RemoveRedundantOrderBy",
     "WalkToShortest",
     "SimplifyUnionDuplicates",
+    "EliminateIdentityCrown",
     "DEFAULT_RULES",
 ]
 
@@ -284,6 +288,18 @@ class SimplifyUnionDuplicates(RewriteRule):
         return None
 
 
+class EliminateIdentityCrown(RewriteRule):
+    """Drop a γ/τ/π crown that returns exactly its input (:func:`identity_crown_input`).
+
+    With :class:`WalkToShortest`, one fix point turns ``ALL SHORTEST WALK`` into a bare ϕShortest.
+    """
+
+    name = "eliminate-identity-crown"
+
+    def apply(self, expression: Expression) -> Expression | None:
+        return identity_crown_input(expression)
+
+
 #: The rule set used by the optimizer by default, in priority order.
 DEFAULT_RULES: tuple[RewriteRule, ...] = (
     MergeSelections(),
@@ -292,4 +308,5 @@ DEFAULT_RULES: tuple[RewriteRule, ...] = (
     SimplifyUnionDuplicates(),
     RemoveRedundantOrderBy(),
     WalkToShortest(),
+    EliminateIdentityCrown(),
 )

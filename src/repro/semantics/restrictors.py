@@ -28,8 +28,8 @@ Three evaluation strategies are provided:
   kept as the performance baseline for ``BENCH_closure.json`` and as an
   additional oracle;
 * :func:`recursive_closure_postfilter` — the reference strategy that first
-  enumerates bounded walks and then filters, used by the ablation benchmark
-  (DESIGN.md, design decision 1) and by property tests as an oracle.
+  enumerates bounded walks and then filters, used by the restrictor-scaling
+  benchmark (E-S3) and by property tests as an oracle.
 
 The execution model and the invariants that make incremental pruning complete
 are documented in ``PERFORMANCE.md``.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from graph_corpus import closure_corpus
-from repro.algebra.expressions import NodesScan, Recursive, Union
+from repro.algebra.expressions import NodesScan, Projection, Recursive, Union
 from repro.datasets.generators import cycle_graph
 from repro.engine.automaton import AutomatonExecutor, classify_plan, plan_supported
 from repro.engine.engine import PathQueryEngine
@@ -26,8 +26,11 @@ from repro.engine.executor import (
 from repro.engine.router import PortfolioRouter
 from repro.errors import BudgetExceeded
 from repro.execution import QueryBudget
+from repro.gql.planner import plan_text
 from repro.graph.model import PropertyGraph
 from repro.optimizer.cost import CostModel
+from repro.optimizer.engine import Optimizer
+from repro.optimizer.rules import WalkToShortest
 from repro.rpq.compile import CompileOptions, compile_regex
 from repro.semantics.restrictors import Restrictor
 
@@ -69,13 +72,15 @@ def test_classifier_rejects_out_of_envelope_plans() -> None:
     assert plan_supported(nested) is False
 
 
-def test_classifier_recognizes_all_shortest_crown() -> None:
-    engine = PathQueryEngine(CORPUS[0])
-    explain = engine.explain(
-        "MATCH ALL SHORTEST p = (?x)-[(Knows|Likes)+]->(?y)", max_length=3
-    )
-    spec = classify_plan(explain.optimized_plan)
-    assert spec is not None and spec.crowned and spec.restrictor is Restrictor.SHORTEST
+def test_classifier_sees_all_shortest_with_and_without_its_crown() -> None:
+    text = "MATCH ALL SHORTEST p = (?x)-[(Knows|Likes)+]->(?y)"
+    # Optimized: walk-to-shortest, then the identity crown is eliminated.
+    optimized = PathQueryEngine(CORPUS[0]).explain(text, max_length=3).optimized_plan
+    assert isinstance(optimized, Recursive) and optimized.restrictor is Restrictor.SHORTEST
+    # The same crown left in place (only walk-to-shortest ran) is looked past.
+    crowned = Optimizer([WalkToShortest()]).optimize(plan_text(text, max_length=3)).optimized
+    assert isinstance(crowned, Projection)
+    assert classify_plan(crowned) == classify_plan(optimized) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,32 @@ class TestOptimizerDriver:
         assert "simplify-union-duplicates" in result.applied_rules
         assert result.passes >= 1
 
+    def test_every_output_is_a_fix_point(self) -> None:
+        """The driver skips the confirming pass after rewrites that built no
+        node (a crown or a duplicate union arm dropped); whatever it returns,
+        another run must find nothing left to do."""
+        from repro.bench.workloads import service_workloads
+        from repro.gql.planner import plan_text
+        from repro.semantics.translate import (
+            all_selector_restrictor_combinations,
+            translate_selector_restrictor,
+        )
+
+        plans = [plan_text(text) for text in service_workloads()[1].queries]
+        plans += [
+            translate_selector_restrictor(selector, restrictor, knows_scan(), already_recursive=False)
+            for selector, restrictor in all_selector_restrictor_combinations()
+        ]
+        # Both no-build rules at once, and a crown above a rewrite that does build.
+        plans.append(Projection(GroupBy(Union(knows_scan(), knows_scan()), GroupByKey.ST)))
+        plans.append(
+            Projection(GroupBy(Selection(prop_of_first("name", "Moe"), Join(knows_scan(), knows_scan()))))
+        )
+        for plan in plans:
+            once = optimize(plan)
+            again = optimize(once.optimized)
+            assert again.applied_rules == [] and again.optimized == once.optimized, plan
+
     def test_no_rules_applied_on_atoms(self) -> None:
         result = optimize(EdgesScan())
         assert not result.changed
