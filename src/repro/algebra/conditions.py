@@ -23,10 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConditionError
 from repro.paths.path import Path
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.graph.model import Edge, Node
 
 __all__ = [
     "Comparator",
@@ -39,6 +42,8 @@ __all__ = [
     "Or",
     "Not",
     "TrueCondition",
+    "split_conjunction",
+    "join_conjunction",
     "label_of_edge",
     "label_of_node",
     "label_of_first",
@@ -148,11 +153,10 @@ class LabelCondition(SimpleCondition):
             raise ConditionError("label conditions cannot target the whole path")
 
     def evaluate(self, path: Path) -> bool:
-        object_id = _resolve_object(path, self.target, self.position)
-        if object_id is None:
+        resolved = _resolve_object(path, self.target, self.position)
+        if resolved is None:
             return False
-        label = path.graph.label_of(object_id)
-        return self.comparator.apply(label, self.value)
+        return self.comparator.apply(resolved.label, self.value)
 
     def __str__(self) -> str:
         if self.target is Target.NODE:
@@ -183,10 +187,10 @@ class PropertyCondition(SimpleCondition):
             raise ConditionError("property conditions cannot target the whole path")
 
     def evaluate(self, path: Path) -> bool:
-        object_id = _resolve_object(path, self.target, self.position)
-        if object_id is None:
+        resolved = _resolve_object(path, self.target, self.position)
+        if resolved is None:
             return False
-        value = path.graph.property_of(object_id, self.property_name)
+        value = resolved.property(self.property_name)
         if value is None:
             return False
         return self.comparator.apply(value, self.value)
@@ -260,22 +264,42 @@ class Not(Condition):
         return f"NOT ({self.operand})"
 
 
-def _resolve_object(path: Path, target: Target, position: int | None) -> str | None:
-    """Return the node/edge identifier a simple condition refers to, or ``None`` if absent."""
+def split_conjunction(condition: Condition) -> list[Condition]:
+    """Flatten nested conjunctions into the list of their conjuncts, left to right."""
+    if isinstance(condition, And):
+        return split_conjunction(condition.left) + split_conjunction(condition.right)
+    return [condition]
+
+
+def join_conjunction(conditions: list[Condition]) -> Condition:
+    """Fold a non-empty list of conditions back into a left-deep conjunction."""
+    result = conditions[0]
+    for extra in conditions[1:]:
+        result = And(result, extra)
+    return result
+
+
+def _resolve_object(path: Path, target: Target, position: int | None) -> "Node | Edge | None":
+    """Return the node/edge a simple condition refers to, or ``None`` if absent.
+
+    The target says which kind it is, so the object is looked up by kind
+    (``graph.node`` / ``graph.edge``) instead of probing both id spaces.
+    """
+    graph = path.graph
     if target is Target.FIRST:
-        return path.first()
+        return graph.node(path.first())
     if target is Target.LAST:
-        return path.last()
+        return graph.node(path.last())
     if target is Target.NODE:
         assert position is not None
         if position > path.len() + 1:
             return None
-        return path.node(position)
+        return graph.node(path.node(position))
     if target is Target.EDGE:
         assert position is not None
         if position > path.len():
             return None
-        return path.edge(position)
+        return graph.edge(path.edge(position))
     return None
 
 

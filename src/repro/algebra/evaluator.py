@@ -26,6 +26,7 @@ from repro.algebra.expressions import (
     Recursive,
     Selection,
     Union,
+    label_scan_input,
 )
 from repro.algebra.solution_space import SolutionSpace, group_by, order_by, project
 from repro.errors import EvaluationError
@@ -155,8 +156,16 @@ class Evaluator:
     # Operator implementations
     # ------------------------------------------------------------------
     def _eval_selection(self, expression: Selection) -> PathSet:
-        child = self._eval_paths(expression.child, "selection")
-        result = child.filter(expression.condition.evaluate)
+        indexed = label_scan_input(expression)
+        if indexed is None:
+            child = self._eval_paths(expression.child, "selection")
+            condition = expression.condition
+        else:
+            # An index lookup: Edges(G) still gets its row, counting the
+            # paths read off the label index instead of every edge.
+            label, condition = indexed
+            child = self._record(expression.child, PathSet.edges_of(self.graph, label))
+        result = child if condition is None else child.filter(condition.evaluate)
         return self._record(expression, result)
 
     def _eval_join(self, expression: Join) -> PathSet:

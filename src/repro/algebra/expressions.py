@@ -20,7 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.algebra.conditions import Condition
+from repro.algebra.conditions import (
+    Comparator,
+    Condition,
+    LabelCondition,
+    Target,
+    join_conjunction,
+    split_conjunction,
+)
 from repro.algebra.solution_space import ALL, GroupByKey, OrderByKey, ProjectionSpec
 from repro.semantics.restrictors import Restrictor
 
@@ -38,6 +45,7 @@ __all__ = [
     "OrderBy",
     "Projection",
     "identity_crown_input",
+    "label_scan_input",
     "walk",
     "trail",
     "acyclic",
@@ -344,6 +352,39 @@ def identity_crown_input(plan: Expression) -> Expression | None:
         closure = child.child.child
         if isinstance(closure, Recursive) and closure.restrictor is Restrictor.SHORTEST:
             return closure
+    return None
+
+
+def label_scan_input(plan: Expression) -> tuple[str, Condition | None] | None:
+    """Split ``σ[c](Edges(G))`` into ``(L, residual)`` when it is an index lookup.
+
+    That is when a top-level conjunct of the *bound* ``c`` is
+    ``label(edge(1)) = L`` with ``L`` a string: the selection's answer is then
+    the residual conjuncts (``None`` when there are none) applied to the edges
+    labelled ``L``, which every graph encoding keeps an index of.  Never under
+    ``Or`` / ``Not``, never ``!=``, never another position or target, never a
+    ``$parameter`` or a non-string value — those stay a filter over the full
+    scan.  Conditions are pure, so dropping one conjunct and keeping the rest
+    in their order selects the same paths in the same order.
+
+    The one definition of the fact: the materializing evaluator and the
+    pipeline read such a selection off the label index, the pipeline turns a
+    join against one into an adjacency expand, the automaton decompiler reads
+    its regex label from it, ``explain`` names it.
+    """
+    if not (isinstance(plan, Selection) and isinstance(plan.child, EdgesScan)):
+        return None
+    conjuncts = split_conjunction(plan.condition)
+    for position, condition in enumerate(conjuncts):
+        if (
+            isinstance(condition, LabelCondition)
+            and condition.target is Target.EDGE
+            and condition.position == 1
+            and condition.comparator is Comparator.EQ
+            and isinstance(condition.value, str)
+        ):
+            rest = conjuncts[:position] + conjuncts[position + 1 :]
+            return condition.value, join_conjunction(rest) if rest else None
     return None
 
 

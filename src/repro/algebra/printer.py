@@ -11,6 +11,8 @@ Two renderings are provided:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.algebra.expressions import (
     Difference,
     EdgesScan,
@@ -108,8 +110,13 @@ def _describe(expression: Expression) -> str:
     return expression.operator_name()
 
 
-def to_plan_tree(expression: Expression) -> str:
+def to_plan_tree(expression: Expression, notes: Sequence[str | None] | None = None) -> str:
     """Render a plan as the numbered, arrow-indented listing of Section 7.2.
+
+    ``notes``, when given, holds one optional remark per node of
+    ``expression.iter_subtree()``; a node's remark is printed in brackets
+    after its line (``explain`` names access paths this way).  Without notes
+    the listing is the paper's, unchanged.
 
     Example output for the paper's sample query::
 
@@ -121,20 +128,19 @@ def to_plan_tree(expression: Expression) -> str:
         6 -> Select: (label(edge(1)) = 'Knows' , EDGES(G))
     """
     lines: list[str] = []
+    remaining = iter(notes if notes is not None else ())
+
+    def described(sub: Expression) -> str:
+        note = next(remaining, None)
+        return _describe(sub) if note is None else f"{_describe(sub)}  [{note}]"
 
     # The paper prints the "mode" operators (projection / order-by / group-by /
     # restrictor) as a flat header followed by the arrow-indented query body.
     header: list[str] = []
     node: Expression = expression
     while True:
-        if isinstance(node, Projection):
-            header.append(_describe(node))
-            node = node.child
-        elif isinstance(node, OrderBy):
-            header.append(_describe(node))
-            node = node.child
-        elif isinstance(node, GroupBy):
-            header.append(_describe(node))
+        if isinstance(node, (Projection, OrderBy, GroupBy)):
+            header.append(described(node))
             node = node.child
         elif isinstance(node, Recursive):
             header.append(f"Restrictor ({node.restrictor.value})")
@@ -155,7 +161,7 @@ def to_plan_tree(expression: Expression) -> str:
 
     def walk(sub: Expression, depth: int) -> None:
         indent = "  " * depth
-        lines.append(f"{len(lines) + 1} {indent}-> {_describe(sub)}")
+        lines.append(f"{len(lines) + 1} {indent}-> {described(sub)}")
         for child in sub.children():
             walk(child, depth + 1)
 

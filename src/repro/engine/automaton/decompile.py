@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algebra.conditions import Comparator, LabelCondition, Target
 from repro.algebra.expressions import (
     EdgesScan,
     Expression,
@@ -41,6 +40,7 @@ from repro.algebra.expressions import (
     Selection,
     Union,
     identity_crown_input,
+    label_scan_input,
 )
 from repro.rpq.ast import (
     Alternation,
@@ -97,16 +97,9 @@ def decompile_plan(plan: Expression) -> RegexNode | None:
     if isinstance(plan, EdgesScan):
         return AnyLabel()
     if isinstance(plan, Selection):
-        condition = plan.condition
-        if (
-            isinstance(condition, LabelCondition)
-            and condition.target is Target.EDGE
-            and condition.position == 1
-            and condition.comparator is Comparator.EQ
-            and isinstance(condition.value, str)
-            and isinstance(plan.child, EdgesScan)
-        ):
-            return Label(condition.value)
+        indexed = label_scan_input(plan)
+        if indexed is not None and indexed[1] is None:
+            return Label(indexed[0])
         return None
     if isinstance(plan, Join):
         left = decompile_plan(plan.left)

@@ -28,6 +28,7 @@ from typing import Any, Mapping
 from repro.algebra.expressions import Expression
 from repro.algebra.printer import to_algebra_notation, to_plan_tree
 from repro.engine.automaton import AutomatonExecutor
+from repro.engine.automaton.decompile import plan_supported
 from repro.engine.executor import (
     EXECUTOR_NAMES,
     ExecutionResult,
@@ -37,7 +38,7 @@ from repro.engine.executor import (
     resolve_executor,
 )
 from repro.engine.footprint import plan_footprint
-from repro.engine.physical import build_pipeline
+from repro.engine.physical import access_paths, build_pipeline
 from repro.engine.results import ResultCursor
 from repro.errors import ParameterError
 from repro.execution import ExecutionStatistics, QueryBudget
@@ -115,9 +116,19 @@ class ExplainResult:
                 lines.append(f"Executor (auto): {self.chosen_executor}")
             else:
                 lines.append(f"Executor: {self.chosen_executor}")
+        # The algebra tree is the paper's; the bracketed notes beside it name
+        # how the chosen executor reads each scan and join.  A plan the product
+        # automaton runs natively walks adjacency per NFA state instead.
+        if self.chosen_executor == AutomatonExecutor.name and plan_supported(self.optimized_plan):
+            lines.append("Access paths: product-graph search")
+            notes = None
+        else:
+            notes = access_paths(
+                self.optimized_plan, pipelined=self.chosen_executor == PipelineExecutor.name
+            )
         lines += [
             "Plan tree:",
-            to_plan_tree(self.optimized_plan),
+            to_plan_tree(self.optimized_plan, notes),
         ]
         return "\n".join(lines)
 

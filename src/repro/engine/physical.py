@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.algebra.conditions import Condition
 from repro.algebra.expressions import (
     Difference,
     EdgesScan,
@@ -41,18 +42,26 @@ from repro.algebra.expressions import (
     Selection,
     Union,
     identity_crown_input,
+    label_scan_input,
 )
 from repro.algebra.solution_space import group_by, order_by, project
 from repro.errors import EvaluationError
 from repro.execution import ExecutionStatistics, QueryBudget
 from repro.graph.model import PropertyGraph
 from repro.graph.compact import compact_core_of
+from repro.paths.access import edge_paths, node_paths
 from repro.paths.join_index import JoinIndex
 from repro.paths.path import Path
 from repro.paths.pathset import PathSet
 from repro.semantics.restrictors import iter_recursive_closure
 
-__all__ = ["PhysicalPlan", "PipelineStatistics", "build_pipeline", "execute_pipeline"]
+__all__ = [
+    "PhysicalPlan",
+    "PipelineStatistics",
+    "access_paths",
+    "build_pipeline",
+    "execute_pipeline",
+]
 
 
 #: Historical name of the pipeline's statistics; the counters are now shared
@@ -109,50 +118,48 @@ class _NodesScanOp(_PhysicalOperator):
         self._graph = graph
 
     def paths(self) -> Iterator[Path]:
-        compact = compact_core_of(self._graph)
-        if compact is not None:
-            for path in compact.iter_node_paths(self._graph):
-                yield self._emit(path)
-            return
-        for node_id in self._graph.node_ids():
-            yield self._emit(Path.from_node(self._graph, node_id))
+        for path in node_paths(self._graph):
+            yield self._emit(path)
 
 
 class _EdgesScanOp(_PhysicalOperator):
+    """``Edges(G)``; with a ``label``, only the paths read off the label index."""
+
     def __init__(
         self,
         graph: PropertyGraph,
         statistics: PipelineStatistics,
         budget: QueryBudget | None = None,
+        label: str | None = None,
     ) -> None:
         super().__init__("Edges(G)", statistics, budget)
         self._graph = graph
+        self._label = label
 
     def paths(self) -> Iterator[Path]:
-        compact = compact_core_of(self._graph)
-        if compact is not None:
-            for path in compact.iter_edge_paths(self._graph):
-                yield self._emit(path)
-            return
-        for edge_id in self._graph.edge_ids():
-            yield self._emit(Path.from_edge(self._graph, edge_id))
+        for path in edge_paths(self._graph, self._label):
+            yield self._emit(path)
 
 
 class _FilterOp(_PhysicalOperator):
+    """``σ[c]``; over a label-index scan ``condition`` is only the residual of ``c`` (or ``None``)."""
+
     def __init__(
         self,
-        expression: Selection,
+        name: str,
+        condition: Condition | None,
         child: _PhysicalOperator,
         statistics: PipelineStatistics,
         budget: QueryBudget | None = None,
     ) -> None:
-        super().__init__(f"σ[{expression.condition}]", statistics, budget)
-        self._condition = expression.condition
+        super().__init__(name, statistics, budget)
+        self._condition = condition
         self._child = child
 
     def paths(self) -> Iterator[Path]:
+        condition = self._condition
         for path in self._child.paths():
-            if self._condition.evaluate(path):
+            if condition is None or condition.evaluate(path):
                 yield self._emit(path)
 
 
@@ -178,6 +185,61 @@ class _HashJoinOp(_PhysicalOperator):
                 if joined not in seen:
                     seen.add(joined)
                     yield self._emit(joined)
+
+
+class _ExpandOp(_PhysicalOperator):
+    """``left ⋈ σ[c](Edges(G))`` as an adjacency expand (no hash build).
+
+    The right operand is an index lookup (``label_scan_input``), so instead of
+    scanning and hashing it, each left path is extended by the out-edges of
+    its last node that carry the label and pass the residual of ``c`` — the
+    bucket the hash join would have probed, in the same order.  A node's
+    extension list is read once and kept for the lifetime of this operator
+    only.  The right operand's ``Edges(G)`` and ``σ[c]`` rows are kept: they
+    count the edges read off the adjacency index and the ones that passed.
+    A one-edge extension of a duplicate-free input is duplicate-free, so
+    there is no ``seen`` set.
+    """
+
+    def __init__(
+        self,
+        left: _PhysicalOperator,
+        filter_name: str,
+        label: str,
+        condition: Condition | None,
+        graph: PropertyGraph,
+        statistics: PipelineStatistics,
+        budget: QueryBudget | None = None,
+    ) -> None:
+        statistics.register_operator("Edges(G)")
+        statistics.register_operator(filter_name)
+        super().__init__("⋈", statistics, budget)
+        self._left = left
+        self._filter_name = filter_name
+        self._label = label
+        self._condition = condition
+        self._graph = graph
+
+    def _extensions(self, node_id: str) -> list[Path]:
+        read = list(edge_paths(self._graph, self._label, node_id))
+        condition = self._condition
+        kept = read if condition is None else [p for p in read if condition.evaluate(p)]
+        self.statistics.count("Edges(G)", len(read))
+        self.statistics.count(self._filter_name, len(kept))
+        if self._budget is not None:
+            self._budget.charge(len(read), "Edges(G)")
+            self._budget.charge(len(kept), self._filter_name)
+        return kept
+
+    def paths(self) -> Iterator[Path]:
+        by_node: dict[str, list[Path]] = {}
+        for left_path in self._left.paths():
+            node_id = left_path.last()
+            extensions = by_node.get(node_id)
+            if extensions is None:
+                extensions = by_node[node_id] = self._extensions(node_id)
+            for extension in extensions:
+                yield self._emit(left_path.concat(extension))
 
 
 class _UnionOp(_PhysicalOperator):
@@ -413,15 +475,21 @@ def _build(
     if isinstance(plan, EdgesScan):
         return _EdgesScanOp(graph, statistics, budget)
     if isinstance(plan, Selection):
-        return _FilterOp(
-            plan,
-            _build(plan.child, graph, statistics, default_max_length, budget),
-            statistics,
-            budget,
-        )
+        indexed = label_scan_input(plan)
+        if indexed is None:
+            condition = plan.condition
+            child = _build(plan.child, graph, statistics, default_max_length, budget)
+        else:
+            label, condition = indexed
+            child = _EdgesScanOp(graph, statistics, budget, label)
+        return _FilterOp(plan.operator_name(), condition, child, statistics, budget)
     if isinstance(plan, Join):
+        left = _build(plan.left, graph, statistics, default_max_length, budget)
+        indexed = label_scan_input(plan.right)
+        if indexed is not None:
+            return _ExpandOp(left, plan.right.operator_name(), *indexed, graph, statistics, budget)
         return _HashJoinOp(
-            _build(plan.left, graph, statistics, default_max_length, budget),
+            left,
             _build(plan.right, graph, statistics, default_max_length, budget),
             statistics,
             budget,
@@ -460,6 +528,40 @@ def _build(
         child = _build(base, graph, statistics, default_max_length, budget)
         return _SolutionSpaceOp(child, pipeline, statistics, budget)
     raise EvaluationError(f"cannot build a physical operator for {type(plan).__name__}")
+
+
+def access_paths(plan: Expression, pipelined: bool) -> list[str | None]:
+    """Name the access path of every scan and join of ``plan``, for ``explain``.
+
+    One entry per node of ``plan.iter_subtree()`` (``None`` where the node is
+    neither): ``label-index(L)`` on a selection read off the label index,
+    ``full scan`` on an atom read whole, ``hash join``, and — under the
+    pipeline only, the materializing evaluator always hashes — ``expand(out,
+    L)`` on a join whose right operand is such an index lookup (that operand
+    is then part of the expand and carries no note of its own).  Follows the
+    same ``label_scan_input`` decisions as ``_build`` and the evaluator.
+    """
+    notes: list[str | None] = []
+
+    def visit(node: Expression, fused: bool = False) -> None:
+        """``fused``: the node is part of an index lookup or expand noted above it."""
+        indexed = label_scan_input(node)
+        expand = label_scan_input(node.right) if pipelined and isinstance(node, Join) else None
+        if fused:
+            notes.append(None)
+        elif indexed is not None:
+            notes.append(f"label-index({indexed[0]})")
+        elif isinstance(node, (EdgesScan, NodesScan)):
+            notes.append("full scan")
+        elif isinstance(node, Join):
+            notes.append("hash join" if expand is None else f"expand(out, {expand[0]})")
+        else:
+            notes.append(None)
+        for position, child in enumerate(node.children()):
+            visit(child, fused or indexed is not None or (expand is not None and position == 1))
+
+    visit(plan)
+    return notes
 
 
 def _collect_solution_space_pipeline(plan: Expression) -> tuple[list[Expression], Expression]:

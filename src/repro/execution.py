@@ -61,7 +61,10 @@ class QueryBudget:
             is killed (``None`` — no deadline).  Use :meth:`from_timeout` to
             build one from a relative number of seconds.
         max_visited: Cap on the number of paths the execution may visit or
-            construct, summed across operators (``None`` — unlimited).
+            construct, summed across operators (``None`` — unlimited).  A
+            scan is charged for the paths it actually reads: a selection
+            served off the label index, or a join run as an adjacency
+            expand, charges the edges read off the index, not ``|E|``.
         max_results: Cap on the size of the result set the caller receives,
             checked after any ``limit`` truncation (``None`` — unlimited).
         check_interval: How many visited paths may pass between two clock
@@ -240,6 +243,11 @@ class ExecutionStatistics:
             operator's full output.
         intermediate_paths: Total paths produced across all operators (the
             classical "intermediate result size" proxy for execution effort).
+            Index-backed access paths keep the rows of the operators they
+            realize — ``Edges(G)`` and ``σ[…]`` for a label-index scan, both
+            plus ``⋈`` for an adjacency expand — but the ``Edges(G)`` row
+            counts the paths read off the index, so this total reflects work
+            done, not the size of the graph.
         operators: Number of physical operators instantiated (pipeline only;
             zero for the materializing evaluator).
         plan_cache_hits: Cumulative hit count of the plan cache that served

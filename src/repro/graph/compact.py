@@ -606,17 +606,41 @@ class CompactGraph:
         for node_id in self._node_ids:
             yield unchecked(target, (node_id,), ())
 
-    def iter_edge_paths(self, graph=None) -> Iterator[Path]:
+    def iter_edge_paths(
+        self, graph=None, label: str | None = None, source: str | None = None
+    ) -> Iterator[Path]:
         """Yield ``Edges(G)`` as length-one paths straight off the endpoint
         columns (same content and order as ``Path.from_edge`` over
-        ``edge_ids()``, no :class:`Edge` materialization)."""
+        ``edge_ids()``, no :class:`Edge` materialization).
+
+        ``label`` / ``source`` restrict the scan to the edges carrying that
+        label / leaving that node, read off the per-label partition and the
+        CSR runs (:meth:`label_out_slice` when both are given) — the edges a
+        filter over the full scan would keep, in the same order, without
+        touching the others.
+        """
         target = self if graph is None else graph
+        if source is not None:
+            node_index = self._node_index.get(source)
+            if node_index is None:
+                return
+            if label is None:
+                run, _, start, end = self.out_slice(node_index)
+            else:
+                run, _, start, end = self.label_out_slice(label, node_index)
+            indexes = run[start:end]
+        elif label is not None:
+            code = self._label_codes.get(label)
+            indexes = self._edges_by_label_part.get(code, ()) if code else ()
+        else:
+            indexes = range(len(self._edge_ids))
         unchecked = Path._unchecked
         node_ids = self._node_ids
+        edge_ids = self._edge_ids
         src = self._edge_src
         dst = self._edge_dst
-        for e, edge_id in enumerate(self._edge_ids):
-            yield unchecked(target, (node_ids[src[e]], node_ids[dst[e]]), (edge_id,))
+        for e in indexes:
+            yield unchecked(target, (node_ids[src[e]], node_ids[dst[e]]), (edge_ids[e],))
 
     # ------------------------------------------------------------------
     # Snapshot / freeze protocol (already frozen; everything is a no-op)

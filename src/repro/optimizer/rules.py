@@ -30,6 +30,8 @@ from repro.algebra.conditions import (
     Condition,
     LabelCondition,
     PropertyCondition,
+    join_conjunction,
+    split_conjunction,
 )
 from repro.algebra.conditions import Target as ConditionTarget
 from repro.algebra.expressions import (
@@ -67,20 +69,6 @@ class RewriteRule:
     def apply(self, expression: Expression) -> Expression | None:
         """Return the rewritten node, or ``None`` when the rule does not apply here."""
         raise NotImplementedError
-
-
-def _split_conjunction(condition: Condition) -> list[Condition]:
-    """Flatten nested conjunctions into a list of conjuncts."""
-    if isinstance(condition, And):
-        return _split_conjunction(condition.left) + _split_conjunction(condition.right)
-    return [condition]
-
-
-def _join_conjunction(conditions: list[Condition]) -> Condition:
-    result = conditions[0]
-    for extra in conditions[1:]:
-        result = And(result, extra)
-    return result
 
 
 def _references_first_only(condition: Condition) -> bool:
@@ -133,7 +121,7 @@ class PushSelectionIntoJoin(RewriteRule):
         if not isinstance(child, Join):
             return None
 
-        conjuncts = _split_conjunction(expression.condition)
+        conjuncts = split_conjunction(expression.condition)
         to_left = [c for c in conjuncts if _references_first_only(c)]
         to_right = [c for c in conjuncts if _references_last_only(c)]
         remaining = [c for c in conjuncts if c not in to_left and c not in to_right]
@@ -143,12 +131,12 @@ class PushSelectionIntoJoin(RewriteRule):
         left: Expression = child.left
         right: Expression = child.right
         if to_left:
-            left = Selection(_join_conjunction(to_left), left)
+            left = Selection(join_conjunction(to_left), left)
         if to_right:
-            right = Selection(_join_conjunction(to_right), right)
+            right = Selection(join_conjunction(to_right), right)
         new_join = Join(left, right)
         if remaining:
-            return Selection(_join_conjunction(remaining), new_join)
+            return Selection(join_conjunction(remaining), new_join)
         return new_join
 
 

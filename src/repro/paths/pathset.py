@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator
 
 from repro.execution import QueryBudget
-from repro.graph.compact import compact_core_of
 from repro.graph.model import PropertyGraph
+from repro.paths.access import edge_paths, node_paths
 from repro.paths.join_index import JoinIndex
 from repro.paths.path import Path
 
@@ -43,18 +43,16 @@ class PathSet:
     @classmethod
     def nodes_of(cls, graph: PropertyGraph) -> "PathSet":
         """``Nodes(G)`` — all length-zero paths of the graph."""
-        compact = compact_core_of(graph)
-        if compact is not None:
-            return cls.from_unique(compact.iter_node_paths(graph))
-        return cls.from_unique(Path.from_node(graph, node_id) for node_id in graph.node_ids())
+        return cls.from_unique(node_paths(graph))
 
     @classmethod
-    def edges_of(cls, graph: PropertyGraph) -> "PathSet":
-        """``Edges(G)`` — all length-one paths of the graph."""
-        compact = compact_core_of(graph)
-        if compact is not None:
-            return cls.from_unique(compact.iter_edge_paths(graph))
-        return cls.from_unique(Path.from_edge(graph, edge_id) for edge_id in graph.edge_ids())
+    def edges_of(cls, graph: PropertyGraph, label: str | None = None) -> "PathSet":
+        """``Edges(G)`` — all length-one paths of the graph.
+
+        With ``label``, only the edges carrying it, read off the graph's
+        label index (what filtering the full set by that label would keep).
+        """
+        return cls.from_unique(edge_paths(graph, label))
 
     @classmethod
     def empty(cls) -> "PathSet":
