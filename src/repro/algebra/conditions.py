@@ -44,6 +44,7 @@ __all__ = [
     "TrueCondition",
     "split_conjunction",
     "join_conjunction",
+    "references_only",
     "label_of_edge",
     "label_of_node",
     "label_of_first",
@@ -277,6 +278,15 @@ def join_conjunction(conditions: list[Condition]) -> Condition:
     for extra in conditions[1:]:
         result = And(result, extra)
     return result
+
+
+def references_only(condition: Condition, target: Target) -> bool:
+    """True if ``condition`` is a simple label/property test on ``target`` alone.
+
+    With ``Target.FIRST`` / ``Target.LAST`` these are the endpoint conditions
+    that hold on one operand of a join or on the first segment of a closure.
+    """
+    return isinstance(condition, (LabelCondition, PropertyCondition)) and condition.target is target
 
 
 def _resolve_object(path: Path, target: Target, position: int | None) -> "Node | Edge | None":

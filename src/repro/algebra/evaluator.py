@@ -13,6 +13,7 @@ invocation counts), which the benchmarks and the EXPLAIN facility report.
 
 from __future__ import annotations
 
+from repro.algebra.conditions import Condition
 from repro.algebra.expressions import (
     Difference,
     EdgesScan,
@@ -27,6 +28,7 @@ from repro.algebra.expressions import (
     Selection,
     Union,
     label_scan_input,
+    seeded_closure_input,
 )
 from repro.algebra.solution_space import SolutionSpace, group_by, order_by, project
 from repro.errors import EvaluationError
@@ -156,8 +158,14 @@ class Evaluator:
     # Operator implementations
     # ------------------------------------------------------------------
     def _eval_selection(self, expression: Selection) -> PathSet:
+        seeded = seeded_closure_input(expression)
         indexed = label_scan_input(expression)
-        if indexed is None:
+        if seeded is not None:
+            # A seeded closure: ϕ's row counts the paths built from the seeds,
+            # σ's row what is left of them after the residual.
+            recursive, seed, condition = seeded
+            child = self._eval_recursive(recursive, seed)
+        elif indexed is None:
             child = self._eval_paths(expression.child, "selection")
             condition = expression.condition
         else:
@@ -192,8 +200,9 @@ class Evaluator:
         result = left.difference(right)
         return self._record(expression, result)
 
-    def _eval_recursive(self, expression: Recursive) -> PathSet:
+    def _eval_recursive(self, expression: Recursive, seed: Condition | None = None) -> PathSet:
         child = self._eval_paths(expression.child, "recursion")
+        seeds = None if seed is None else child.filter(seed.evaluate)
         max_length = expression.max_length
         if max_length is None:
             max_length = self.default_max_length
@@ -210,6 +219,7 @@ class Evaluator:
             max_length,
             join_index=join_index,
             budget=self.budget,
+            seeds=seeds,
         )
         return self._record(expression, result, already_charged=True)
 

@@ -26,6 +26,7 @@ from repro.algebra.conditions import (
     LabelCondition,
     Target,
     join_conjunction,
+    references_only,
     split_conjunction,
 )
 from repro.algebra.solution_space import ALL, GroupByKey, OrderByKey, ProjectionSpec
@@ -46,6 +47,7 @@ __all__ = [
     "Projection",
     "identity_crown_input",
     "label_scan_input",
+    "seeded_closure_input",
     "walk",
     "trail",
     "acyclic",
@@ -386,6 +388,38 @@ def label_scan_input(plan: Expression) -> tuple[str, Condition | None] | None:
             rest = conjuncts[:position] + conjuncts[position + 1 :]
             return condition.value, join_conjunction(rest) if rest else None
     return None
+
+
+def seeded_closure_input(
+    plan: Expression,
+) -> tuple[Recursive, Condition, Condition | None] | None:
+    """Split ``σ[c](ϕr(S))`` into ``(ϕr(S), seed, residual)`` when it is a seeded closure.
+
+    That is when top-level conjuncts of ``c`` test only the first node
+    (``label(first)`` / ``first.pr``, any comparator, ``$parameter`` values
+    included): the first node of a closure path is the first node of its first
+    segment, so ``σ[seed](ϕr(S))`` is ϕr started from the frontier
+    ``σ[seed](S)`` and extended through the index over all of ``S`` — for all
+    five restrictors — in the order the filtered full closure has.  ``seed``
+    is the conjunction of those conjuncts, ``residual`` the remaining ones in
+    their order (``None`` when there are none), applied to what the seeded
+    closure produces.  Never under ``Or`` / ``Not``, never ``last`` /
+    ``node(i)`` / ``len()`` (those stay a filter over the full closure), never
+    a selection that is not directly on the ϕ.
+
+    The one definition of the fact: the materializing evaluator, the pipeline
+    and the automaton classifier start the closure from the seeds, the cost
+    model prices it, ``explain`` names it.
+    """
+    if not (isinstance(plan, Selection) and isinstance(plan.child, Recursive)):
+        return None
+    seed: list[Condition] = []
+    rest: list[Condition] = []
+    for condition in split_conjunction(plan.condition):
+        (seed if references_only(condition, Target.FIRST) else rest).append(condition)
+    if not seed:
+        return None
+    return plan.child, join_conjunction(seed), join_conjunction(rest) if rest else None
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,9 @@ Supported shapes (``classify_plan``):
   → the restrictor closure of the base set ``L(R)``;
 * ``Union(Recursive(inner, r, ml), NodesScan())`` — the ``R*`` compile shape:
   the closure above plus every length-zero node path;
+* ``σ[first.c](Recursive(inner, r, ml))`` with nothing else in the condition
+  (``seeded_closure_input`` with no residual) — the same closure searched
+  from the source nodes satisfying ``c`` only;
 * any of the above under an identity crown (``identity_crown_input``) — an
   ``ALL`` query the optimizer did not see; it removes such crowns otherwise.
 
@@ -29,8 +32,9 @@ the evaluator's ``NonTerminatingQueryError`` with identical semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from repro.algebra.conditions import Condition
 from repro.algebra.expressions import (
     EdgesScan,
     Expression,
@@ -41,7 +45,10 @@ from repro.algebra.expressions import (
     Union,
     identity_crown_input,
     label_scan_input,
+    seeded_closure_input,
 )
+from repro.graph.model import PropertyGraph
+from repro.paths.path import Path
 from repro.rpq.ast import (
     Alternation,
     AnyLabel,
@@ -77,12 +84,23 @@ class AutomatonPlan:
         restrictor: The closure restrictor (``WALK`` for ``"walks"``).
         max_length: The *effective* closure bound — the plan's own
             ``max_length`` if set, else the engine ``default_max_length``.
+        sources: A first-node condition restricting the nodes the search
+            starts from (a seeded closure), or ``None`` for every node.
     """
 
     kind: str
     regex: RegexNode
     restrictor: Restrictor
     max_length: int | None
+    sources: Condition | None = None
+
+    def source_nodes(self, graph: PropertyGraph) -> list[str]:
+        """The nodes the product search starts from, in ``graph.node_ids()`` order."""
+        nodes = graph.node_ids()
+        if self.sources is None:
+            return nodes
+        accepts = self.sources.evaluate
+        return [node_id for node_id in nodes if accepts(Path.from_node(graph, node_id))]
 
 
 def decompile_plan(plan: Expression) -> RegexNode | None:
@@ -160,6 +178,13 @@ def classify_plan(
     plan = identity_crown_input(plan) or plan
     if isinstance(plan, Recursive):
         return _classify_recursive(plan, default_max_length)
+    seeded = seeded_closure_input(plan)
+    if seeded is not None:
+        recursive, seed, residual = seeded
+        if residual is not None:
+            return None
+        closure = _classify_recursive(recursive, default_max_length)
+        return None if closure is None else replace(closure, sources=seed)
     if (
         isinstance(plan, Union)
         and isinstance(plan.left, Recursive)

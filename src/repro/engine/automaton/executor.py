@@ -44,7 +44,12 @@ def stream_product_paths(
         compact = compact_core_of(graph)
         if compact is not None:
             closure = iter_shortest_compact(
-                graph, compact, spec.regex, spec.max_length, budget
+                graph,
+                compact,
+                spec.regex,
+                spec.max_length,
+                budget,
+                None if spec.sources is None else spec.source_nodes(graph),
             )
             if spec.kind == "closure":
                 return closure

@@ -69,19 +69,24 @@ def iter_shortest_compact(
     regex: RegexNode,
     max_length: int | None,
     budget: QueryBudget | None,
+    sources: list[str] | None = None,
 ) -> Iterator[Path]:
     """Streaming ϕShortest over the CSR core; same algorithm as the object
-    route's ``_iter_shortest``, on int product states ``(src, node, sid)``."""
+    route's ``_iter_shortest``, on int product states ``(src, node, sid)``.
+    ``sources`` (node ids) restricts where the search starts; ``None`` is every node."""
     infa = _InternedNFA(regex, compact)
     init = infa.initial()
     meter = _BudgetMeter(budget)
     edge_labels = compact._edge_labels
-    num_nodes = compact.node_count()
+    if sources is None:
+        starts = range(compact.node_count())
+    else:
+        starts = sorted(map(compact._node_index.__getitem__, sources))
     dist: dict[tuple[int, int, int], int] = {}
     preds: dict[tuple[int, int, int], list] = {}
     finalized: set[int] = set()  # packed (source << 32) | target pairs
     frontier: list[tuple[int, int, int]] = []
-    for source in range(num_nodes):
+    for source in starts:
         key = (source, source, init)
         dist[key] = 0
         preds[key] = []

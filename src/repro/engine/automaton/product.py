@@ -129,8 +129,9 @@ def iter_product_plan(
     graph: PropertyGraph, spec: AutomatonPlan, budget: QueryBudget | None = None
 ) -> Iterator[Path]:
     """Stream the result paths of a classified plan shape."""
+    sources = spec.source_nodes(graph)
     if spec.kind == "walks":
-        yield from _iter_walks(graph, spec.regex, spec.max_length, budget)
+        yield from _iter_walks(graph, sources, spec.regex, spec.max_length, budget)
         return
     if spec.kind == "closure_with_nodes":
         # The R* compile shape unions NodesScan *after* the closure, so every
@@ -140,27 +141,28 @@ def iter_product_plan(
         for node_id in graph.node_ids():
             zero_emitted.add(node_id)
             yield Path.from_node(graph, node_id)
-        for path in _iter_closure(graph, spec, budget):
+        for path in _iter_closure(graph, sources, spec, budget):
             if path.len() == 0 and path.first() in zero_emitted:
                 continue
             yield path
         return
-    yield from _iter_closure(graph, spec, budget)
+    yield from _iter_closure(graph, sources, spec, budget)
 
 
 def _iter_closure(
-    graph: PropertyGraph, spec: AutomatonPlan, budget: QueryBudget | None
+    graph: PropertyGraph, sources: list[str], spec: AutomatonPlan, budget: QueryBudget | None
 ) -> Iterator[Path]:
     if spec.restrictor is Restrictor.SHORTEST:
-        yield from _iter_shortest(graph, spec.regex, spec.max_length, budget)
+        yield from _iter_shortest(graph, sources, spec.regex, spec.max_length, budget)
     else:
         yield from _iter_restricted_closure(
-            graph, spec.regex, spec.restrictor, spec.max_length, budget
+            graph, sources, spec.regex, spec.restrictor, spec.max_length, budget
         )
 
 
 def _iter_walks(
     graph: PropertyGraph,
+    sources: list[str],
     regex: RegexNode,
     depth_cap: int | None,
     budget: QueryBudget | None,
@@ -171,7 +173,7 @@ def _iter_walks(
     adj = _adjacency(graph)
     meter = _BudgetMeter(budget)
     cap = depth_cap if depth_cap is not None else 0
-    for source in graph.node_ids():
+    for source in sources:
         meter.checkpoint(_PRODUCT_LABEL)
         if nfa.accepts(init):
             meter.tick()
@@ -195,6 +197,7 @@ def _iter_walks(
 
 def _iter_restricted_closure(
     graph: PropertyGraph,
+    sources: list[str],
     regex: RegexNode,
     restrictor: Restrictor,
     max_length: int | None,
@@ -219,7 +222,7 @@ def _iter_restricted_closure(
     acyclic = restrictor is Restrictor.ACYCLIC
     simple = restrictor is Restrictor.SIMPLE
     meter = _BudgetMeter(budget)
-    for source in graph.node_ids():
+    for source in sources:
         meter.checkpoint(_PRODUCT_LABEL)
         if nfa_base.accepts(init_base) or (
             nfa_plus.accepts(init_plus) and (bound is None or bound >= 0)
@@ -284,6 +287,7 @@ def _iter_restricted_closure(
 
 def _iter_shortest(
     graph: PropertyGraph,
+    sources: list[str],
     regex: RegexNode,
     max_length: int | None,
     budget: QueryBudget | None,
@@ -305,7 +309,7 @@ def _iter_shortest(
     preds: dict[tuple, list] = {}
     finalized: set[tuple[str, str]] = set()
     frontier: list[tuple] = []
-    for source in graph.node_ids():
+    for source in sources:
         key = (source, source, init)
         dist[key] = 0
         preds[key] = []

@@ -28,7 +28,7 @@ from typing import Any, Mapping
 from repro.algebra.expressions import Expression
 from repro.algebra.printer import to_algebra_notation, to_plan_tree
 from repro.engine.automaton import AutomatonExecutor
-from repro.engine.automaton.decompile import plan_supported
+from repro.engine.automaton.decompile import classify_plan
 from repro.engine.executor import (
     EXECUTOR_NAMES,
     ExecutionResult,
@@ -118,9 +118,16 @@ class ExplainResult:
                 lines.append(f"Executor: {self.chosen_executor}")
         # The algebra tree is the paper's; the bracketed notes beside it name
         # how the chosen executor reads each scan and join.  A plan the product
-        # automaton runs natively walks adjacency per NFA state instead.
-        if self.chosen_executor == AutomatonExecutor.name and plan_supported(self.optimized_plan):
-            lines.append("Access paths: product-graph search")
+        # automaton runs natively walks adjacency per NFA state instead, from
+        # every node or from the sources a seeded closure restricts it to.
+        native = (
+            classify_plan(self.optimized_plan)
+            if self.chosen_executor == AutomatonExecutor.name
+            else None
+        )
+        if native is not None:
+            restriction = "" if native.sources is None else f" (sources: {native.sources})"
+            lines.append(f"Access paths: product-graph search{restriction}")
             notes = None
         else:
             notes = access_paths(

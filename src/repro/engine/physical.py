@@ -43,6 +43,7 @@ from repro.algebra.expressions import (
     Union,
     identity_crown_input,
     label_scan_input,
+    seeded_closure_input,
 )
 from repro.algebra.solution_space import group_by, order_by, project
 from repro.errors import EvaluationError
@@ -142,7 +143,8 @@ class _EdgesScanOp(_PhysicalOperator):
 
 
 class _FilterOp(_PhysicalOperator):
-    """``σ[c]``; over a label-index scan ``condition`` is only the residual of ``c`` (or ``None``)."""
+    """``σ[c]``; over a label-index scan or a seeded closure, ``condition`` is
+    only the residual of ``c`` (or ``None``)."""
 
     def __init__(
         self,
@@ -315,7 +317,9 @@ class _RecursiveOp(_PhysicalOperator):
     pushdown, a :class:`~repro.engine.results.ResultCursor` consuming a few
     rows) suspends the fix point instead of paying for the whole closure.
     SHORTEST remains blocking inside the iterator (domination is a global
-    property of the closure).
+    property of the closure).  With a ``seed`` condition (``seeded_closure_input``)
+    the fix point starts from the input paths that satisfy it; the join index
+    stays over the whole input.
     """
 
     def __init__(
@@ -325,17 +329,20 @@ class _RecursiveOp(_PhysicalOperator):
         statistics: PipelineStatistics,
         default_max_length: int | None,
         budget: QueryBudget | None = None,
+        seed: Condition | None = None,
     ) -> None:
         super().__init__(expression.operator_name(), statistics, budget)
         self._expression = expression
         self._child = child
         self._default_max_length = default_max_length
+        self._seed = seed
 
     def paths(self) -> Iterator[Path]:
         # Every upstream operator deduplicates while streaming, so the base
         # can be bulk-materialized without re-probing each path; the join
         # index over it is built once and shared by all fix-point rounds.
         base = PathSet.from_unique(self._child.paths())
+        seeds = None if self._seed is None else base.filter(self._seed.evaluate)
         max_length = self._expression.max_length
         if max_length is None:
             max_length = self._default_max_length
@@ -351,6 +358,7 @@ class _RecursiveOp(_PhysicalOperator):
             max_length,
             join_index=join_index,
             budget=self._budget,
+            seeds=seeds,
         )
         for path in closure:
             yield self._emit(path)
@@ -475,8 +483,19 @@ def _build(
     if isinstance(plan, EdgesScan):
         return _EdgesScanOp(graph, statistics, budget)
     if isinstance(plan, Selection):
+        seeded = seeded_closure_input(plan)
         indexed = label_scan_input(plan)
-        if indexed is None:
+        if seeded is not None:
+            recursive, seed, condition = seeded
+            child = _RecursiveOp(
+                recursive,
+                _build(recursive.child, graph, statistics, default_max_length, budget),
+                statistics,
+                default_max_length,
+                budget,
+                seed,
+            )
+        elif indexed is None:
             condition = plan.condition
             child = _build(plan.child, graph, statistics, default_max_length, budget)
         else:
@@ -535,20 +554,25 @@ def access_paths(plan: Expression, pipelined: bool) -> list[str | None]:
 
     One entry per node of ``plan.iter_subtree()`` (``None`` where the node is
     neither): ``label-index(L)`` on a selection read off the label index,
-    ``full scan`` on an atom read whole, ``hash join``, and — under the
-    pipeline only, the materializing evaluator always hashes — ``expand(out,
-    L)`` on a join whose right operand is such an index lookup (that operand
-    is then part of the expand and carries no note of its own).  Follows the
-    same ``label_scan_input`` decisions as ``_build`` and the evaluator.
+    ``full scan`` on an atom read whole, ``hash join``, ``seeded
+    closure(first: c)`` on a selection whose ϕ starts from the input paths
+    satisfying ``c``, and — under the pipeline only, the materializing
+    evaluator always hashes — ``expand(out, L)`` on a join whose right operand
+    is such an index lookup (that operand is then part of the expand and
+    carries no note of its own).  Follows the same ``label_scan_input`` /
+    ``seeded_closure_input`` decisions as ``_build`` and the evaluator.
     """
     notes: list[str | None] = []
 
     def visit(node: Expression, fused: bool = False) -> None:
         """``fused``: the node is part of an index lookup or expand noted above it."""
         indexed = label_scan_input(node)
+        seeded = seeded_closure_input(node)
         expand = label_scan_input(node.right) if pipelined and isinstance(node, Join) else None
         if fused:
             notes.append(None)
+        elif seeded is not None:
+            notes.append(f"seeded closure(first: {seeded[1]})")
         elif indexed is not None:
             notes.append(f"label-index({indexed[0]})")
         elif isinstance(node, (EdgesScan, NodesScan)):

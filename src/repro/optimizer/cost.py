@@ -35,6 +35,7 @@ from repro.algebra.expressions import (
     Recursive,
     Selection,
     Union,
+    seeded_closure_input,
 )
 from repro.graph.model import PropertyGraph
 from repro.graph.stats import GraphStatistics, compute_statistics
@@ -80,7 +81,8 @@ class CostModel:
 
         Sums the estimated cost of every *maximal* ``Recursive`` subtree
         (recursions nested inside another recursion are already covered by
-        their ancestor) and divides by the plan's total estimated cost.  The
+        their ancestor; a seeded closure counts as the selection that seeds
+        it) and divides by the plan's total estimated cost.  The
         executor layer uses this plan-shape signal to decide between the
         streaming pipeline (fraction low: the work is in streamable scans,
         selections and joins) and the materializing evaluator (fraction high:
@@ -96,7 +98,8 @@ class CostModel:
         return min(recursive_cost / total, 1.0)
 
     def _maximal_recursive_subtrees(self, plan: Expression) -> list[Expression]:
-        if isinstance(plan, Recursive):
+        """``Recursive`` nodes, and seeded closures as the selection directly on their ϕ."""
+        if isinstance(plan, Recursive) or seeded_closure_input(plan) is not None:
             return [plan]
         found: list[Expression] = []
         for child in plan.children():
@@ -117,8 +120,8 @@ class CostModel:
         shortest_cost = sum(
             self.estimate(subtree).total_cost
             for subtree in self._maximal_recursive_subtrees(plan)
-            if isinstance(subtree, Recursive)
-            and subtree.restrictor is Restrictor.SHORTEST
+            if (subtree if isinstance(subtree, Recursive) else subtree.child).restrictor
+            is Restrictor.SHORTEST
         )
         return min(shortest_cost / total, 1.0)
 
@@ -143,6 +146,18 @@ class CostModel:
             cardinality = float(self.statistics.num_edges)
             return cardinality, cardinality
         if isinstance(plan, Selection):
+            seeded = seeded_closure_input(plan)
+            if seeded is not None:
+                # A seeded closure builds only the seeds' share of the closure:
+                # child scan + selectivity(seed) × (closure cardinality × expansion).
+                recursive, seed, residual = seeded
+                child_card, child_cost = self._estimate(recursive.child)
+                expansion = _RECURSION_EXPANSION[recursive.restrictor]
+                built = child_card * expansion * self._condition_selectivity(seed)
+                if residual is None:
+                    return built, child_cost + built * expansion
+                cardinality = built * self._condition_selectivity(residual)
+                return cardinality, child_cost + built * expansion + cardinality
             child_card, child_cost = self._estimate(plan.child)
             selectivity = self._condition_selectivity(plan.condition)
             cardinality = child_card * selectivity

@@ -27,13 +27,11 @@ from __future__ import annotations
 
 from repro.algebra.conditions import (
     And,
-    Condition,
-    LabelCondition,
-    PropertyCondition,
+    Target,
     join_conjunction,
+    references_only,
     split_conjunction,
 )
-from repro.algebra.conditions import Target as ConditionTarget
 from repro.algebra.expressions import (
     Expression,
     GroupBy,
@@ -69,20 +67,6 @@ class RewriteRule:
     def apply(self, expression: Expression) -> Expression | None:
         """Return the rewritten node, or ``None`` when the rule does not apply here."""
         raise NotImplementedError
-
-
-def _references_first_only(condition: Condition) -> bool:
-    """True if the condition constrains only the first node of a path."""
-    if isinstance(condition, (LabelCondition, PropertyCondition)):
-        return condition.target is ConditionTarget.FIRST
-    return False
-
-
-def _references_last_only(condition: Condition) -> bool:
-    """True if the condition constrains only the last node of a path."""
-    if isinstance(condition, (LabelCondition, PropertyCondition)):
-        return condition.target is ConditionTarget.LAST
-    return False
 
 
 class PushSelectionBelowUnion(RewriteRule):
@@ -122,8 +106,8 @@ class PushSelectionIntoJoin(RewriteRule):
             return None
 
         conjuncts = split_conjunction(expression.condition)
-        to_left = [c for c in conjuncts if _references_first_only(c)]
-        to_right = [c for c in conjuncts if _references_last_only(c)]
+        to_left = [c for c in conjuncts if references_only(c, Target.FIRST)]
+        to_right = [c for c in conjuncts if references_only(c, Target.LAST)]
         remaining = [c for c in conjuncts if c not in to_left and c not in to_right]
         if not to_left and not to_right:
             return None

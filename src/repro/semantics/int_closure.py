@@ -25,6 +25,11 @@ candidates ``extend_trail_state`` / ``extend_acyclic_state`` /
 mutable differential sweep in ``tests/test_compact.py`` holds this to the
 letter over the 50-graph corpus.
 
+A seeded closure (``seeds=``, see ``recursive_closure``) encodes the seeds as
+well and starts each kernel from them; the ``IntJoinIndex``, ϕWalk's
+termination bound and ϕShortest's base domination stay over the whole base,
+exactly as in the object twins.
+
 The one deliberate asymmetry: ``_iter_closure_walk``'s object twin seeds its
 frontier with ``list(set(base))`` — a hash-ordered list.  The int mirror
 replays that exact object-set ordering (the ``Path`` hashes involved are the
@@ -117,22 +122,26 @@ def int_recursive_closure(
     restrictor,
     max_length: int | None,
     budget: QueryBudget | None,
+    seeds: PathSet | None = None,
 ) -> PathSet | None:
     """Int-encoded ``ϕ_restrictor(base)``; ``None`` if the base cannot be
     encoded against ``compact`` (the caller then runs the object strategy).
 
-    ``base`` must be non-empty (the dispatcher guarantees it)."""
+    ``base`` must be non-empty (the dispatcher guarantees it).  ``seeds`` as
+    in :func:`~repro.semantics.restrictors.recursive_closure`: the kernels
+    start from the encoded seeds, the ``IntJoinIndex`` stays over the base."""
     seqs = encode_base(compact, base)
-    if seqs is None:
+    origin = seqs if seeds is None else encode_base(compact, seeds)
+    if seqs is None or origin is None:
         return None
     graph = next(iter(base)).graph
     name = restrictor.value
     if name == "SHORTEST":
-        result = _int_shortest(seqs, max_length, budget)
+        result = _int_shortest(seqs, origin, max_length, budget)
     elif name == "WALK":
-        result = _int_walk(seqs, max_length, budget)
+        result = _int_walk(seqs, origin, max_length, budget)
     else:
-        result = _int_pruned(seqs, name, max_length, budget)
+        result = _int_pruned(seqs, origin, name, max_length, budget)
     return _decode_all(compact, graph, result)
 
 
@@ -142,19 +151,22 @@ def int_iter_recursive_closure(
     restrictor,
     max_length: int | None,
     budget: QueryBudget | None,
+    seeds: PathSet | None = None,
 ) -> Iterator[Path] | None:
     """Streaming twin of :func:`int_recursive_closure` (``None`` on encode
     failure, decided eagerly so the caller can fall back before iterating)."""
     seqs = encode_base(compact, base)
-    if seqs is None:
+    origin = base if seeds is None else seeds
+    origin_seqs = seqs if seeds is None else encode_base(compact, seeds)
+    if seqs is None or origin_seqs is None:
         return None
     graph = next(iter(base)).graph
     name = restrictor.value
     if name == "SHORTEST":
-        return _int_iter_shortest(compact, graph, seqs, max_length, budget)
+        return _int_iter_shortest(compact, graph, seqs, origin_seqs, max_length, budget)
     if name == "WALK":
-        return _int_iter_walk(compact, graph, base, seqs, max_length, budget)
-    return _int_iter_pruned(compact, graph, base, seqs, name, max_length, budget)
+        return _int_iter_walk(compact, graph, base, origin, seqs, max_length, budget)
+    return _int_iter_pruned(compact, graph, origin, origin_seqs, seqs, name, max_length, budget)
 
 
 # ----------------------------------------------------------------------
@@ -162,6 +174,7 @@ def int_iter_recursive_closure(
 # ----------------------------------------------------------------------
 def _int_walk(
     seqs: list[tuple[int, ...]],
+    origin: list[tuple[int, ...]],
     max_length: int | None,
     budget: QueryBudget | None,
 ) -> list[tuple[int, ...]]:
@@ -176,7 +189,7 @@ def _int_walk(
     batch = _BUDGET_BATCH
     depth = 0
 
-    result_seqs = list(seqs)
+    result_seqs = list(origin)
     seen = set(result_seqs)
     frontier = list(result_seqs)
     while frontier:
@@ -228,12 +241,13 @@ def _mask_of(ids) -> int:
 
 def _int_pruned(
     seqs: list[tuple[int, ...]],
+    origin: list[tuple[int, ...]],
     name: str,
     max_length: int | None,
     budget: QueryBudget | None,
 ) -> list[tuple[int, ...]]:
     predicate = _SEQ_PREDICATES[name]
-    conforming = [seq for seq in seqs if predicate(seq)]
+    conforming = [seq for seq in origin if predicate(seq)]
     if not conforming:
         return conforming
 
@@ -327,6 +341,7 @@ def _int_pruned(
 # ----------------------------------------------------------------------
 def _int_shortest(
     seqs: list[tuple[int, ...]],
+    origin: list[tuple[int, ...]],
     max_length: int | None,
     budget: QueryBudget | None,
 ) -> list[tuple[int, ...]]:
@@ -345,7 +360,7 @@ def _int_shortest(
     tie_breaker = count()
 
     heap: list[tuple[int, int, tuple[int, ...]]] = []
-    for seq in seqs:
+    for seq in origin:
         length = len(seq) // 2
         if max_length is not None and length > max_length:
             continue
@@ -400,13 +415,14 @@ def _int_iter_shortest(
     compact: CompactGraph,
     graph,
     seqs: list[tuple[int, ...]],
+    origin: list[tuple[int, ...]],
     max_length: int | None,
     budget: QueryBudget | None,
 ) -> Iterator[Path]:
     # SHORTEST is inherently blocking (see iter_recursive_closure); the
     # generator defers the materialization to the first next(), like the
     # object twin's `yield from _closure_shortest(...)`.
-    for seq in _int_shortest(seqs, max_length, budget):
+    for seq in _int_shortest(seqs, origin, max_length, budget):
         yield _decode_one(compact, graph, seq)
 
 
@@ -414,6 +430,7 @@ def _int_iter_walk(
     compact: CompactGraph,
     graph,
     base: PathSet,
+    origin: PathSet,
     seqs: list[tuple[int, ...]],
     max_length: int | None,
     budget: QueryBudget | None,
@@ -433,6 +450,8 @@ def _int_iter_walk(
     node_index = compact._node_index
     edge_index = compact._edge_index
     initial = list(set(base))
+    if origin is not base:
+        initial = [path for path in initial if path in origin]
     yield from initial
     frontier: list[tuple[int, ...]] = []
     for path in initial:
@@ -475,17 +494,17 @@ def _int_iter_walk(
 def _int_iter_pruned(
     compact: CompactGraph,
     graph,
-    base: PathSet,
+    origin: PathSet,
+    origin_seqs: list[tuple[int, ...]],
     seqs: list[tuple[int, ...]],
     name: str,
     max_length: int | None,
     budget: QueryBudget | None,
 ) -> Iterator[Path]:
     predicate = _SEQ_PREDICATES[name]
-    base_paths = list(base)
     conforming: list[tuple[int, ...]] = []
     conforming_paths: list[Path] = []
-    for path, seq in zip(base_paths, seqs):
+    for path, seq in zip(origin, origin_seqs):
         if predicate(seq):
             conforming.append(seq)
             conforming_paths.append(path)

@@ -144,6 +144,7 @@ def recursive_closure(
     max_length: int | None = None,
     join_index: JoinIndex | None = None,
     budget: QueryBudget | None = None,
+    seeds: PathSet | None = None,
 ) -> PathSet:
     """Evaluate ``ϕ_restrictor(base)`` (Definition 4.1 specialized per Section 4).
 
@@ -162,6 +163,14 @@ def recursive_closure(
             frontiers are processed in ``_BUDGET_BATCH``-sized chunks with a
             check per chunk, so a deadline kills the closure within one check
             interval even mid-round.
+        seeds: Start here, index over ``base``: a subset of ``base`` (in base
+            order) the frontier and the result start from, while extensions
+            still come from all of ``base``.  With ``seeds = σ[first.c](base)``
+            the result is ``σ[first.c](ϕ(base))`` in the same order, and only
+            those paths are built and charged (see
+            :func:`~repro.algebra.expressions.seeded_closure_input`).  ϕWalk's
+            non-termination bound and ϕShortest's base domination keep
+            reading all of ``base``.
 
     Raises:
         NonTerminatingQueryError: for WALK without ``max_length`` when the
@@ -170,6 +179,8 @@ def recursive_closure(
             reachable cycle and therefore infinitely many walks).
         BudgetExceeded: when ``budget`` is exhausted before the fix point.
     """
+    if seeds is not None and not len(seeds):
+        return PathSet()
     if len(base):
         # Columnar fast path: when the query's graph view is backed by a
         # current CompactGraph core, run the closure on the int encoding
@@ -179,16 +190,17 @@ def recursive_closure(
         if compact is not None:
             from repro.semantics.int_closure import int_recursive_closure
 
-            result = int_recursive_closure(compact, base, restrictor, max_length, budget)
+            result = int_recursive_closure(compact, base, restrictor, max_length, budget, seeds)
             if result is not None:
                 return result
     if join_index is None:
         join_index = JoinIndex(base)
+    origin = base if seeds is None else seeds
     if restrictor is Restrictor.SHORTEST:
-        return _closure_shortest(base, max_length, join_index, budget)
+        return _closure_shortest(base, origin, max_length, join_index, budget)
     if restrictor is Restrictor.WALK:
-        return _closure_walk(base, max_length, join_index, budget)
-    return _closure_pruned(base, restrictor, max_length, join_index, budget)
+        return _closure_walk(base, origin, max_length, join_index, budget)
+    return _closure_pruned(origin, restrictor, max_length, join_index, budget)
 
 
 def recursive_closure_postfilter(
@@ -204,7 +216,7 @@ def recursive_closure_postfilter(
     the restrictor.  Results are identical to the pruning strategy whenever
     ``max_length`` is large enough to cover every conforming path.
     """
-    walks = _closure_walk(base, max_length, JoinIndex(base), budget)
+    walks = _closure_walk(base, base, max_length, JoinIndex(base), budget)
     return filter_by_restrictor(walks, restrictor)
 
 
@@ -214,6 +226,7 @@ def iter_recursive_closure(
     max_length: int | None = None,
     join_index: JoinIndex | None = None,
     budget: QueryBudget | None = None,
+    seeds: PathSet | None = None,
 ) -> Iterator[Path]:
     """Lazily yield ``ϕ_restrictor(base)``: the base first, then each fix-point round.
 
@@ -235,7 +248,12 @@ def iter_recursive_closure(
     :class:`~repro.errors.NonTerminatingQueryError` is raised at the moment
     an over-long walk would be generated, so a consumer that stops earlier
     never sees it.
+
+    ``seeds`` means what it means to :func:`recursive_closure`: the seeds
+    first (where the unseeded stream has them), then each round.
     """
+    if seeds is not None and not len(seeds):
+        return
     if len(base):
         # Columnar fast path (see recursive_closure): the int twin decides
         # encodability eagerly, so a None here is a clean object fallback.
@@ -243,23 +261,27 @@ def iter_recursive_closure(
         if compact is not None:
             from repro.semantics.int_closure import int_iter_recursive_closure
 
-            iterator = int_iter_recursive_closure(compact, base, restrictor, max_length, budget)
+            iterator = int_iter_recursive_closure(
+                compact, base, restrictor, max_length, budget, seeds
+            )
             if iterator is not None:
                 yield from iterator
                 return
     if join_index is None:
         join_index = JoinIndex(base)
+    origin = base if seeds is None else seeds
     if restrictor is Restrictor.SHORTEST:
-        yield from _closure_shortest(base, max_length, join_index, budget)
+        yield from _closure_shortest(base, origin, max_length, join_index, budget)
         return
     if restrictor is Restrictor.WALK:
-        yield from _iter_closure_walk(base, max_length, join_index, budget)
+        yield from _iter_closure_walk(base, origin, max_length, join_index, budget)
         return
-    yield from _iter_closure_pruned(base, restrictor, max_length, join_index, budget)
+    yield from _iter_closure_pruned(origin, restrictor, max_length, join_index, budget)
 
 
 def _iter_closure_walk(
     base: PathSet,
+    origin: PathSet,
     max_length: int | None,
     index: JoinIndex,
     budget: QueryBudget | None = None,
@@ -292,6 +314,10 @@ def _iter_closure_walk(
 
     seen: set[Path] = set(base)
     frontier: list[Path] = list(seen)
+    if origin is not base:
+        # Seeded: the seeds where the hash-ordered bootstrap above has them.
+        frontier = [path for path in frontier if path in origin]
+        seen = set(frontier)
     yield from frontier
     while frontier:
         produced: list[Path] = []
@@ -329,7 +355,7 @@ def _iter_closure_walk(
 
 
 def _iter_closure_pruned(
-    base: PathSet,
+    origin: PathSet,
     restrictor: Restrictor,
     max_length: int | None,
     index: JoinIndex,
@@ -337,7 +363,7 @@ def _iter_closure_pruned(
 ) -> Iterator[Path]:
     """Streaming variant of :func:`_closure_pruned` (Trail / Acyclic / Simple)."""
     predicate = _PREDICATES[restrictor]
-    conforming_base = [path for path in base if predicate(path)]
+    conforming_base = [path for path in origin if predicate(path)]
     if not conforming_base:
         return
 
@@ -410,16 +436,20 @@ def _iter_closure_pruned(
 # ----------------------------------------------------------------------
 def _closure_walk(
     base: PathSet,
+    origin: PathSet,
     max_length: int | None,
     index: JoinIndex,
     budget: QueryBudget | None = None,
 ) -> PathSet:
     """Fix point of Definition 4.1 with an optional length bound.
 
+    ``origin`` is what the frontier and the result start from: ``base`` itself,
+    or its seeds (:func:`recursive_closure`).  ``index`` is over ``base``.
+
     Without a bound, a sound non-termination detector is used: if any produced
     path becomes longer than the total number of distinct edges occurring in
-    ``base``, some edge repeats, hence the base contains a reachable cycle and
-    the walk closure is infinite.
+    ``base`` (all of it, whatever the origin), some edge repeats, hence the
+    base contains a reachable cycle and the walk closure is infinite.
 
     The length bound is checked *before* the candidate path is constructed, so
     out-of-bound extensions cost two integer additions and nothing else.
@@ -427,9 +457,9 @@ def _closure_walk(
     distinct_edges = {edge_id for path in base for edge_id in path.edge_ids}
     termination_bound = len(distinct_edges)
 
-    if not len(base):
-        return PathSet.from_unique(base)
-    graph = next(iter(base)).graph
+    if not len(origin):
+        return PathSet.from_unique(origin)
+    graph = next(iter(origin)).graph
     bound = max_length if max_length is not None else termination_bound
     guard = max_length is None
     buckets = _annotate_extensions(index, lambda ext: ())
@@ -441,7 +471,7 @@ def _closure_walk(
 
     # Accumulate into a plain list + set: Path hashes are cached, so handing
     # the list to from_unique at the end costs nothing extra.
-    result_paths: list[Path] = list(base)
+    result_paths: list[Path] = list(origin)
     seen: set[Path] = set(result_paths)
     frontier: list[Path] = list(result_paths)
     while frontier:
@@ -514,13 +544,15 @@ def _annotate_extensions(
 
 
 def _closure_pruned(
-    base: PathSet,
+    origin: PathSet,
     restrictor: Restrictor,
     max_length: int | None,
     index: JoinIndex,
     budget: QueryBudget | None = None,
 ) -> PathSet:
     """Fix point that discards non-conforming paths as soon as they appear.
+
+    ``origin`` is the base or its seeds; ``index`` is over the whole base.
 
     Pruning is complete for Trail, Acyclic and Simple because removing the
     last base segment from a conforming path yields a conforming path: the
@@ -535,7 +567,7 @@ def _closure_pruned(
     remain as oracles for the property tests.
     """
     predicate = _PREDICATES[restrictor]
-    conforming_base = [path for path in base if predicate(path)]
+    conforming_base = [path for path in origin if predicate(path)]
     if not conforming_base:
         return PathSet.from_unique(conforming_base)
 
@@ -615,6 +647,7 @@ def _closure_pruned(
 # ----------------------------------------------------------------------
 def _closure_shortest(
     base: PathSet,
+    origin: PathSet,
     max_length: int | None,
     index: JoinIndex,
     budget: QueryBudget | None = None,
@@ -632,7 +665,8 @@ def _closure_shortest(
     Base paths that are already dominated at insert time — another base path
     connects the same endpoint pair with strictly fewer edges — are skipped
     instead of pushed: the shorter path pops first, so the dominated one could
-    only ever be discarded at pop time anyway.
+    only ever be discarded at pop time anyway.  Domination is decided over
+    all of ``base``; only ``origin`` (the base or its seeds) is pushed.
     """
     best_base: dict[tuple[str, str], int] = {}
     for path in base:
@@ -649,7 +683,7 @@ def _closure_shortest(
     tie_breaker = count()
 
     heap: list[tuple[int, int, Path]] = []
-    for path in base:
+    for path in origin:
         length = path.len()
         if max_length is not None and length > max_length:
             continue

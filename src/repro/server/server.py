@@ -81,6 +81,16 @@ __all__ = ["ReproServer"]
 #: Frames larger than this are a protocol violation, not a memory bomb.
 _MAX_FRAME_BYTES = 8 * 1024 * 1024
 
+#: Bytes asked of the socket per read event.  asyncio's selector transport
+#: allocates a fresh buffer of its ``max_size`` (256 KiB) for every ``recv``,
+#: and glibc serves a block that size with an mmap/munmap pair — ~10 µs and
+#: two page faults per read — unless the process happens to have freed a
+#: larger block before (its mmap threshold is dynamic), so a server's
+#: round-trip time depended on what had run in the process earlier.  Requests
+#: are short lines; 64 KiB stays under the threshold in every process, and a
+#: longer frame simply takes more reads.
+_RECV_BYTES = 64 * 1024
+
 _HTTP_METHODS = (b"GET ", b"POST ", b"HEAD ", b"PUT ", b"DELETE ", b"OPTIONS ")
 
 _HTTP_REASONS = {
@@ -299,6 +309,8 @@ class ReproServer:
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if hasattr(writer.transport, "max_size"):  # the selector transport's recv size
+            writer.transport.max_size = _RECV_BYTES
         task = asyncio.current_task()
         if task is not None:
             self._connection_tasks.add(task)
