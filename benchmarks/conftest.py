@@ -17,7 +17,7 @@ In both modes the session writes ``BENCH_closure.json`` (to the directory
 :func:`repro.bench.reporting.write_bench_json`: wall-clock timings of the
 incremental closure engine (:func:`~repro.semantics.restrictors.recursive_closure`)
 against the pre-incremental baseline
-(:func:`~repro.semantics.restrictors.recursive_closure_baseline`) and the
+(:func:`~repro.baselines.closure.recursive_closure_baseline`) and the
 product-graph automaton executor (:class:`~repro.engine.automaton.AutomatonExecutor`,
 on both the mutable graph and its frozen twin) on the restrictor-scaling
 workloads, giving future PRs a perf trajectory to compare against.
@@ -33,6 +33,7 @@ from pathlib import Path as FilePath
 import pytest
 
 from repro.algebra.expressions import EdgesScan, Recursive
+from repro.baselines.closure import recursive_closure_baseline
 from repro.bench.reporting import write_bench_json
 from repro.bench.workloads import quick_mode
 from repro.datasets.figure1 import figure1_graph
@@ -42,11 +43,7 @@ from repro.execution import QueryBudget
 from repro.graph.compact import CompactGraph
 from repro.graph.model import PropertyGraph
 from repro.paths.pathset import PathSet
-from repro.semantics.restrictors import (
-    Restrictor,
-    recursive_closure,
-    recursive_closure_baseline,
-)
+from repro.semantics.restrictors import Restrictor, recursive_closure
 
 _REPO_ROOT = FilePath(__file__).resolve().parent.parent
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.closure import recursive_closure_baseline
 from repro.bench.reporting import format_table
 from repro.bench.workloads import select_sizes
 from repro.datasets.generators import complete_graph, cycle_graph, layered_graph
@@ -27,7 +28,6 @@ from repro.paths.pathset import PathSet
 from repro.semantics.restrictors import (
     Restrictor,
     recursive_closure,
-    recursive_closure_baseline,
     recursive_closure_postfilter,
 )
 

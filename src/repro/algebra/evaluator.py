@@ -33,9 +33,7 @@ from repro.algebra.expressions import (
 from repro.algebra.solution_space import SolutionSpace, group_by, order_by, project
 from repro.errors import EvaluationError
 from repro.execution import ExecutionStatistics, QueryBudget
-from repro.graph.compact import compact_core_of
 from repro.graph.model import PropertyGraph
-from repro.paths.join_index import JoinIndex
 from repro.paths.pathset import PathSet
 from repro.semantics.restrictors import recursive_closure
 
@@ -206,20 +204,8 @@ class Evaluator:
         max_length = expression.max_length
         if max_length is None:
             max_length = self.default_max_length
-        # The base is already materialized, so the join index is built exactly
-        # once here and shared by every fix-point round of the closure.  When
-        # a compact core backs the graph the closure runs int-encoded and
-        # builds its own IntJoinIndex, so the object index would be dead
-        # weight — skip it (recursive_closure builds one itself if it has to
-        # fall back).
-        join_index = None if compact_core_of(self.graph) is not None else JoinIndex(child)
         result = recursive_closure(
-            child,
-            expression.restrictor,
-            max_length,
-            join_index=join_index,
-            budget=self.budget,
-            seeds=seeds,
+            child, expression.restrictor, max_length, budget=self.budget, seeds=seeds
         )
         return self._record(expression, result, already_charged=True)
 

@@ -1,8 +1,8 @@
 """Frozen-graph fast path: product BFS over CompactGraph CSR columns.
 
 When the query graph is backed by a current :class:`~repro.graph.compact.
-CompactGraph` core, the streaming ϕShortest product search runs int-encoded
-(pairing with :mod:`repro.semantics.int_closure`): nodes and edges are dense
+CompactGraph` core, the streaming ϕShortest product search runs int-encoded:
+nodes and edges are dense
 CSR indexes, NFA state sets are interned to small ints with a memoized
 ``(state-set, label-code) → state-set`` transition table, and witnesses stay
 integer sequences until the moment they decode to :class:`Path` objects for

@@ -49,7 +49,6 @@ from repro.algebra.solution_space import group_by, order_by, project
 from repro.errors import EvaluationError
 from repro.execution import ExecutionStatistics, QueryBudget
 from repro.graph.model import PropertyGraph
-from repro.graph.compact import compact_core_of
 from repro.paths.access import edge_paths, node_paths
 from repro.paths.join_index import JoinIndex
 from repro.paths.path import Path
@@ -318,8 +317,8 @@ class _RecursiveOp(_PhysicalOperator):
     rows) suspends the fix point instead of paying for the whole closure.
     SHORTEST remains blocking inside the iterator (domination is a global
     property of the closure).  With a ``seed`` condition (``seeded_closure_input``)
-    the fix point starts from the input paths that satisfy it; the join index
-    stays over the whole input.
+    the fix point starts from the input paths that satisfy it; extensions still
+    come from the whole input.
     """
 
     def __init__(
@@ -339,26 +338,14 @@ class _RecursiveOp(_PhysicalOperator):
 
     def paths(self) -> Iterator[Path]:
         # Every upstream operator deduplicates while streaming, so the base
-        # can be bulk-materialized without re-probing each path; the join
-        # index over it is built once and shared by all fix-point rounds.
+        # can be bulk-materialized without re-probing each path.
         base = PathSet.from_unique(self._child.paths())
         seeds = None if self._seed is None else base.filter(self._seed.evaluate)
         max_length = self._expression.max_length
         if max_length is None:
             max_length = self._default_max_length
-        # The int closure builds its own IntJoinIndex over the encoded base;
-        # only build the object index when the closure will run object-side.
-        if len(base) and compact_core_of(next(iter(base)).graph) is not None:
-            join_index = None
-        else:
-            join_index = JoinIndex(base)
         closure = iter_recursive_closure(
-            base,
-            self._expression.restrictor,
-            max_length,
-            join_index=join_index,
-            budget=self._budget,
-            seeds=seeds,
+            base, self._expression.restrictor, max_length, budget=self._budget, seeds=seeds
         )
         for path in closure:
             yield self._emit(path)

@@ -23,9 +23,12 @@ A ``CompactGraph`` duck-types the *read* API of ``PropertyGraph`` /
 ``GraphSnapshot`` (``node()``, ``out_edges()``, ``nodes_by_label()``, …), so
 every existing consumer works unchanged; mutators raise
 :class:`~repro.errors.FrozenGraphError`.  Node/edge objects are materialized
-lazily and memoized — the hot paths (closures, join indexes) never touch them,
-operating purely on the int encoding via :mod:`repro.paths.intpath` and
-:mod:`repro.semantics.int_closure`.
+lazily and memoized — scans and adjacency expansion read the columns directly
+(:mod:`repro.paths.access`), and the product-graph search walks them int-encoded
+(:mod:`repro.engine.automaton.int_product`).  The closure kernel
+(:mod:`repro.semantics.restrictors`) needs nothing from the core: it runs on
+whatever identifiers the base paths carry, so a frozen graph and a mutable one
+execute the same closure code.
 
 Pickling ships only the flat columns (object memos are dropped), which is what
 makes ``spawn``-mode process workers cheap: the wire payload is a handful of
@@ -51,13 +54,12 @@ _NO_PROPS: tuple = ()
 def compact_core_of(graph) -> "CompactGraph | None":
     """Return the compact core behind ``graph`` if one is current, else ``None``.
 
-    This is the engine's detection hook: executors and closure strategies call
-    it on whatever graph-like object a query is pinned to (a live
+    This is the engine's detection hook: the access paths and the automaton
+    executor call it on whatever graph-like object a query is pinned to (a live
     ``PropertyGraph``, a ``GraphSnapshot`` view, or a ``CompactGraph`` itself)
-    and switch to the int-encoded fast path only when it returns a core whose
-    version matches the view.  Mutable graphs without a current core fall back
-    to the object path — behaviour, not just results, is identical by
-    construction.
+    and read the columns only when it returns a core whose version matches the
+    view.  Mutable graphs without a current core fall back to the object path
+    — behaviour, not just results, is identical by construction.
     """
     probe = getattr(graph, "compact_core", None)
     if probe is None:

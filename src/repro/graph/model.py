@@ -511,8 +511,9 @@ class PropertyGraph:
         :class:`~repro.errors.FrozenGraphError` until :meth:`thaw` is called.
         Freezing also compiles the graph into its
         :class:`~repro.graph.compact.CompactGraph` core (CSR adjacency,
-        interned labels), switching the closure engine onto the int-encoded
-        fast path — see :meth:`ensure_compact` for the build-only variant.
+        interned labels), which scans, adjacency expansion and the automaton
+        executor then read — see :meth:`ensure_compact` for the build-only
+        variant.
         """
         with self._lock:
             self._frozen = True

@@ -1,7 +1,7 @@
 """Paths, path sets and path predicates (paper Section 2.2 and 3.1)."""
 
 from repro.paths.intpath import IntPath, IntPathSet
-from repro.paths.join_index import IntJoinIndex, JoinIndex
+from repro.paths.join_index import JoinIndex
 from repro.paths.operators import concat, edge, first, label, last, length, node, prop
 from repro.paths.path import Path
 from repro.paths.pathset import PathSet
@@ -22,7 +22,6 @@ __all__ = [
     "JoinIndex",
     "IntPath",
     "IntPathSet",
-    "IntJoinIndex",
     "first",
     "last",
     "node",

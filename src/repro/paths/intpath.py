@@ -7,20 +7,17 @@ graph the same path is a single *interleaved tuple of dense ints*::
 
     (n0, e0, n1, e1, n2, ...)      # node indexes at even slots, edge at odd
 
-One tuple means one concat and one hash per produced path in the closure's hot
-loop, and int hashing is a single machine-word mix.  The interleaving is
-unambiguous — node and edge index spaces both start at 0, but a slot's parity
-decides which table it points into, so decoding is lossless.
-
-Encoding and decoding happen only at the closure boundary: results are decoded
-back into ``Path`` objects (via the ``_unchecked`` fast constructor, against
-whatever graph view the query was pinned to) at materialization time, so every
-consumer above the closure sees byte-identical objects to the unfrozen path.
+The interleaving is unambiguous — node and edge index spaces both start at 0,
+but a slot's parity decides which table it points into, so decoding is
+lossless — and compact: a path is one tuple of small ints, whatever the
+graph's identifiers look like.
 
 :class:`IntPath` / :class:`IntPathSet` wrap the raw sequences with a small API
-for code that holds encoded paths across a boundary (the pickling tests, the
-process pool's wire format); the closure strategies in
-:mod:`repro.semantics.int_closure` deliberately use the raw tuples.
+for code that holds encoded paths across a boundary (pickling, a wire format);
+decoding goes through the ``_unchecked`` fast constructor against whatever
+graph view the caller names.  The closure kernel does **not** use this
+encoding: :mod:`repro.semantics.restrictors` runs on interleaved tuples of the
+base's *own* identifiers, which need no translation table in either direction.
 """
 
 from __future__ import annotations

@@ -1,19 +1,16 @@
 """Reusable first-node join index over a set of base paths.
 
-Every consumer of the path join ``S1 ⋈ S2`` — :meth:`PathSet.join
-<repro.paths.pathset.PathSet.join>`, the four closure strategies of
-:mod:`repro.semantics.restrictors`, and the physical ``_RecursiveOp`` — needs
-the same auxiliary structure: the right-hand paths bucketed by their first
-node, so that the extensions of a path ending in node ``v`` can be enumerated
-in time proportional to their number.
+The path join ``S1 ⋈ S2`` — :meth:`PathSet.join
+<repro.paths.pathset.PathSet.join>` and the pipeline's hash join — needs the
+right-hand paths bucketed by their first node, so that the extensions of a
+path ending in node ``v`` can be enumerated in time proportional to their
+number.  :class:`JoinIndex` makes that index a first-class value: a caller
+that joins against the same right-hand side repeatedly builds it once and
+passes it to :meth:`PathSet.join`.
 
-The seed implementation rebuilt that dictionary on *every* fix-point round
-even though the base set never changes during a closure.  :class:`JoinIndex`
-makes the index a first-class value that is built once and shared: a closure
-builds it before entering the fix point, and a caller that already holds an
-index (for example the physical recursive operator, which materializes its
-input anyway) can hand it to :func:`~repro.semantics.restrictors.recursive_closure`
-so the work is never repeated.
+The closure kernel (:mod:`repro.semantics.restrictors`) does not use it: its
+per-first-node buckets hold bitmasks and interleaved tails rather than paths,
+and are private to the closure that built them.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from typing import Iterable, Iterator
 
 from repro.paths.path import Path
 
-__all__ = ["JoinIndex", "IntJoinIndex"]
+__all__ = ["JoinIndex"]
 
 _EMPTY: tuple[Path, ...] = ()
 
@@ -32,7 +29,7 @@ class JoinIndex:
 
     The index is immutable by convention: it is built once from an iterable of
     paths and only queried afterwards, which is what makes it safe to share
-    between a ``PathSet`` join and the rounds of a fix-point closure.
+    between joins.
     """
 
     __slots__ = ("_by_first", "_size")
@@ -53,10 +50,6 @@ class JoinIndex:
         """Return the base paths starting at ``node_id`` (possibly empty)."""
         return self._by_first.get(node_id, _EMPTY)
 
-    def first_nodes(self) -> Iterator[str]:
-        """Iterate over the distinct first nodes occurring in the base."""
-        return iter(self._by_first)
-
     def join_from(self, left: Path) -> Iterator[Path]:
         """Yield ``left ∘ e`` for every indexed extension ``e`` of ``left``."""
         for extension in self._by_first.get(left.last(), _EMPTY):
@@ -70,120 +63,3 @@ class JoinIndex:
 
     def __repr__(self) -> str:
         return f"JoinIndex(paths={self._size}, first_nodes={len(self._by_first)})"
-
-
-class IntJoinIndex:
-    """The int-encoded twin of :class:`JoinIndex` over a frozen compact graph.
-
-    Buckets interleaved int sequences (see :mod:`repro.paths.intpath`) by
-    their first node *index*.  Built in base order, so per-bucket extension
-    order — and therefore the production order of every closure round — is
-    identical to what :class:`JoinIndex` yields over the same base.
-
-    :meth:`annotated` mirrors ``_annotate_extensions`` of the object closures:
-    per first node, the tuple the hot loop needs — ``(extension length,
-    check ids, appended tail)`` — where the appended tail is a single
-    interleaved slice (``seq[1:]``) instead of separate node/edge tuples,
-    so extending a path is one tuple concatenation.
-    """
-
-    __slots__ = ("_by_first", "_size")
-
-    def __init__(self, seqs: Iterable[tuple[int, ...]]) -> None:
-        by_first: dict[int, list[tuple[int, ...]]] = {}
-        size = 0
-        for seq in seqs:
-            by_first.setdefault(seq[0], []).append(seq)
-            size += 1
-        self._by_first = by_first
-        self._size = size
-
-    def extensions(self, node_index: int) -> list[tuple[int, ...]] | tuple:
-        """Return the base sequences starting at ``node_index`` (possibly empty)."""
-        return self._by_first.get(node_index, _EMPTY)
-
-    def first_nodes(self) -> Iterator[int]:
-        return iter(self._by_first)
-
-    def annotated(self, check: str) -> dict[int, list[tuple]]:
-        """Per-first-node hot-loop buckets; ``check`` selects the probe ids.
-
-        ``"none"`` — no probe ids (WALK); ``"edges"`` — the extension's edge
-        indexes (TRAIL); ``"tail_nodes"`` — its node indexes after the first
-        (ACYCLIC / SIMPLE).  Matches the ``check_ids_of`` lambdas the object
-        closures pass to ``_annotate_extensions``.
-        """
-        buckets: dict[int, list[tuple]] = {}
-        for node_index, seqs in self._by_first.items():
-            if check == "edges":
-                buckets[node_index] = [
-                    (len(seq) // 2, seq[1::2], seq[1:]) for seq in seqs
-                ]
-            elif check == "tail_nodes":
-                buckets[node_index] = [
-                    (len(seq) // 2, seq[2::2], seq[1:]) for seq in seqs
-                ]
-            else:
-                buckets[node_index] = [(len(seq) // 2, (), seq[1:]) for seq in seqs]
-        return buckets
-
-    def mask_annotated(self, check: str) -> dict[int, list[tuple]]:
-        """Bitmask twins of :meth:`annotated` for the pruned closures.
-
-        Because int indexes are dense, a visited-id set is one Python int
-        (bit ``i`` = id ``i``): a conformance probe is then a single ``&``
-        and the extended state a single ``|``, replacing the per-candidate
-        set copy of the object closures.  Per extension the hot loop gets:
-
-        ``"edges"`` (TRAIL) / ``"tail_nodes"`` (ACYCLIC) —
-            ``(length, mask, distinct, tail)`` where ``mask`` covers the
-            probe ids and ``distinct`` is whether they are internally
-            duplicate-free (a property of the extension alone, so it is
-            decided here once instead of per candidate).
-
-        ``"simple"`` (SIMPLE) —
-            ``(length, prefix_mask, prefix_distinct, last_bit, last_node,
-            tail)``: the appended nodes split into interior prefix and final
-            node, because the final node is allowed to close a cycle back to
-            the candidate's first node.
-        """
-        buckets: dict[int, list[tuple]] = {}
-        for node_index, seqs in self._by_first.items():
-            entries: list[tuple] = []
-            for seq in seqs:
-                length = len(seq) // 2
-                tail = seq[1:]
-                if check == "simple":
-                    appended = seq[2::2]
-                    prefix = appended[:-1]
-                    mask = 0
-                    distinct = True
-                    for index in prefix:
-                        bit = 1 << index
-                        if mask & bit:
-                            distinct = False
-                        mask |= bit
-                    entries.append(
-                        (length, mask, distinct, 1 << seq[-1], seq[-1], tail)
-                    )
-                else:
-                    ids = seq[1::2] if check == "edges" else seq[2::2]
-                    mask = 0
-                    distinct = True
-                    for index in ids:
-                        bit = 1 << index
-                        if mask & bit:
-                            distinct = False
-                        mask |= bit
-                    entries.append((length, mask, distinct, tail))
-            buckets[node_index] = entries
-        return buckets
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-    def __repr__(self) -> str:
-        return f"IntJoinIndex(paths={self._size}, first_nodes={len(self._by_first)})"

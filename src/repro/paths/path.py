@@ -164,10 +164,9 @@ class Path:
 
     def interleaved(self) -> tuple[str, ...]:
         """Return the paper's interleaved ``(n1, e1, n2, ..., ek, nk+1)`` representation."""
-        result: list[str] = [self._nodes[0]]
-        for edge_id, node_id in zip(self._edges, self._nodes[1:]):
-            result.append(edge_id)
-            result.append(node_id)
+        result: list[str] = [""] * (len(self._nodes) + len(self._edges))
+        result[::2] = self._nodes
+        result[1::2] = self._edges
         return tuple(result)
 
     def endpoints(self) -> tuple[str, str]:

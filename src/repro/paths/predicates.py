@@ -26,9 +26,6 @@ __all__ = [
     "has_repeated_nodes",
     "has_repeated_edges",
     "satisfies_restrictor_name",
-    "extend_trail_state",
-    "extend_acyclic_state",
-    "extend_simple_state",
 ]
 
 
@@ -71,97 +68,6 @@ def is_simple(path: Path) -> bool:
     # The last node may only coincide with the first node, not with any
     # interior node.
     return last not in nodes[1:-1]
-
-
-# ----------------------------------------------------------------------
-# Incremental extension checks
-# ----------------------------------------------------------------------
-# The closure engine of :mod:`repro.semantics.restrictors` carries, for every
-# frontier path, the set of visited edges (Trail) or nodes (Acyclic / Simple).
-# Extending a conforming path by a base segment then only requires membership
-# probes on the *appended* identifiers — O(1) per appended edge — instead of
-# re-scanning the whole candidate path with the predicates above.  The
-# predicates remain the oracles: for a conforming prefix, each checker accepts
-# exactly when the corresponding ``is_*`` predicate accepts the joined path
-# (asserted by the property tests in ``tests/test_closure_equivalence.py``).
-#
-# Each checker returns the visited set of the extended path, or ``None`` when
-# the extension violates the restrictor.  On rejection of a single-segment
-# extension (the overwhelmingly common case: base paths are edges) nothing is
-# allocated, so pruned candidates cost a dictionary probe and nothing else.
-
-
-def _extend_disjoint_state(visited: set[str], appended: tuple[str, ...]) -> set[str] | None:
-    """Extend ``visited`` by ``appended`` ids, or ``None`` on any repetition.
-
-    The single-element branch (the common case: base paths are edges) probes
-    before copying, so a rejected extension allocates nothing.
-    """
-    if len(appended) == 1:
-        identifier = appended[0]
-        if identifier in visited:
-            return None
-        extended = set(visited)
-        extended.add(identifier)
-        return extended
-    extended = set(visited)
-    for identifier in appended:
-        if identifier in extended:
-            return None
-        extended.add(identifier)
-    return extended
-
-
-def extend_trail_state(visited_edges: set[str], appended_edges: tuple[str, ...]) -> set[str] | None:
-    """Visited-edge set of ``p ∘ e`` given ``p``'s set, or ``None`` if not a trail."""
-    return _extend_disjoint_state(visited_edges, appended_edges)
-
-
-def extend_acyclic_state(visited_nodes: set[str], appended_nodes: tuple[str, ...]) -> set[str] | None:
-    """Visited-node set of ``p ∘ e`` given ``p``'s set, or ``None`` if not acyclic.
-
-    ``appended_nodes`` are the nodes of the extension *after* its first node
-    (which coincides with ``Last(p)`` and is already in the set).
-    """
-    return _extend_disjoint_state(visited_nodes, appended_nodes)
-
-
-def extend_simple_state(
-    visited_nodes: set[str],
-    first_node: str,
-    closed: bool,
-    appended_nodes: tuple[str, ...],
-) -> set[str] | None:
-    """Visited-node set of ``p ∘ e`` given ``p``'s set, or ``None`` if not simple.
-
-    ``closed`` says whether ``p`` already returned to its first node (a closed
-    simple cycle admits no simple extension: its first node would repeat as an
-    interior node).  The final appended node may coincide with ``first_node``,
-    closing a simple cycle; every other appended node must be fresh.
-    """
-    if closed:
-        return None
-    last_index = len(appended_nodes) - 1
-    if last_index == 0:
-        node_id = appended_nodes[0]
-        if node_id == first_node:
-            # Closing the cycle adds no new node; the set is shared with the
-            # parent state, which is safe because states are never mutated
-            # after creation.
-            return visited_nodes
-        if node_id in visited_nodes:
-            return None
-        extended = set(visited_nodes)
-        extended.add(node_id)
-        return extended
-    extended = set(visited_nodes)
-    for index, node_id in enumerate(appended_nodes):
-        if index == last_index and node_id == first_node:
-            return extended
-        if node_id in extended:
-            return None
-        extended.add(node_id)
-    return extended
 
 
 def is_cycle(path: Path) -> bool:

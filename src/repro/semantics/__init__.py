@@ -9,7 +9,6 @@ from repro.semantics.restrictors import (
     Restrictor,
     filter_by_restrictor,
     recursive_closure,
-    recursive_closure_baseline,
     recursive_closure_postfilter,
     shortest_paths_per_pair,
 )
@@ -24,7 +23,6 @@ from repro.semantics.selectors import (
 __all__ = [
     "Restrictor",
     "recursive_closure",
-    "recursive_closure_baseline",
     "recursive_closure_postfilter",
     "filter_by_restrictor",
     "shortest_paths_per_pair",

@@ -16,52 +16,48 @@ implements the five variants of the paper:
 * :data:`Restrictor.SIMPLE`   — no repeated nodes except first == last;
 * :data:`Restrictor.SHORTEST` — only minimum-length paths per endpoint pair.
 
-Three evaluation strategies are provided:
+**One kernel.**  :func:`recursive_closure` (blocking) and
+:func:`iter_recursive_closure` (streaming) are the same code: paths in, paths
+out, and in between one fix-point round generator (:func:`_rounds`; ϕShortest
+has the one heap loop :func:`_shortest`).  Inside the kernel a path is the
+paper's interleaved tuple ``(n0, e0, n1, …)`` of *whatever identifiers the
+base carries* — the kernel never looks at them, it only hashes and compares
+them — so extending a path is one ``seq + tail``, deduplicating it one set
+probe, and decoding it two slices.  Trail / Acyclic / Simple state is a bitmask
+whose bits are interned per closure over the one kind of identifier the
+restrictor probes (edges for Trail, nodes for the other two), so a conformance
+probe is one ``&`` and the extended state one ``|`` whatever the graph's
+encoding: mutable, frozen and snapshot-pinned graphs all run this code, and
+nothing outside this module knows how the closure represents a path.  The
+blocking form drains the generator and decodes in bulk; the streaming form
+decodes each path as it is yielded, in the same order.
 
-* :func:`recursive_closure` — the production strategy: an *incremental*
-  fix point that builds the :class:`~repro.paths.join_index.JoinIndex` once,
-  carries per-frontier-path visited-edge/node state so restrictor conformance
-  of an extension is an O(1) membership probe on the appended segment, and
-  never constructs (or hashes) a pruned candidate path;
-* :func:`recursive_closure_baseline` — the pre-incremental strategy that
-  re-indexes the base and re-scans every candidate end-to-end on each round;
-  kept as the performance baseline for ``BENCH_closure.json`` and as an
-  additional oracle;
-* :func:`recursive_closure_postfilter` — the reference strategy that first
-  enumerates bounded walks and then filters, used by the restrictor-scaling
-  benchmark (E-S3) and by property tests as an oracle.
-
-The execution model and the invariants that make incremental pruning complete
-are documented in ``PERFORMANCE.md``.
+:func:`recursive_closure_postfilter` (enumerate bounded walks, then filter) is
+kept as a few lines over the kernel for the restrictor-scaling benchmark and as
+a test oracle; the independent pre-incremental oracle lives in
+:mod:`repro.baselines.closure`.  The representation and the invariants that
+make incremental pruning complete are documented in ``PERFORMANCE.md``, "The
+closure kernel".
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from enum import Enum
 from itertools import count
-from typing import Callable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from repro.errors import NonTerminatingQueryError
 from repro.execution import QueryBudget
-from repro.graph.compact import compact_core_of
-from repro.paths.join_index import JoinIndex
 from repro.paths.path import Path
 from repro.paths.pathset import PathSet
-from repro.paths.predicates import (
-    extend_acyclic_state,
-    extend_simple_state,
-    extend_trail_state,
-    is_acyclic,
-    is_simple,
-    is_trail,
-)
+from repro.paths.predicates import is_acyclic, is_simple, is_trail
 
 __all__ = [
     "Restrictor",
     "recursive_closure",
     "iter_recursive_closure",
-    "recursive_closure_baseline",
     "recursive_closure_postfilter",
     "shortest_paths_per_pair",
     "filter_by_restrictor",
@@ -92,16 +88,14 @@ _PREDICATES: dict[Restrictor, Callable[[Path], bool]] = {
     Restrictor.SIMPLE: is_simple,
 }
 
-#: Frontier chunk size of the budgeted closure loops (and charge batch of
-#: the heap loops): small enough that a deadline is observed within
-#: milliseconds, large enough that per-path accounting cost vanishes — the
-#: innermost extension loops carry no budget code at all.  Derived from the
+#: How many frontier entries (heap pops for ϕShortest) may pass between two
+#: clock reads: small enough that a deadline is observed within milliseconds
+#: even in a round that rejects almost every candidate.  Derived from the
 #: single granularity knob on :class:`QueryBudget`.
 _BUDGET_BATCH = QueryBudget.CHARGE_BATCH
 
-
-def _closure_label(restrictor: Restrictor) -> str:
-    return f"ϕ{restrictor.value.capitalize()}"
+#: An interleaved path ``(n0, e0, n1, …)`` of the base's own identifiers.
+_Seq = tuple[Hashable, ...]
 
 
 def filter_by_restrictor(paths: PathSet, restrictor: Restrictor) -> PathSet:
@@ -142,7 +136,6 @@ def recursive_closure(
     base: PathSet,
     restrictor: Restrictor = Restrictor.WALK,
     max_length: int | None = None,
-    join_index: JoinIndex | None = None,
     budget: QueryBudget | None = None,
     seeds: PathSet | None = None,
 ) -> PathSet:
@@ -152,18 +145,14 @@ def recursive_closure(
         base: The input set of paths ``S`` (typically a filtered ``Edges(G)``).
         restrictor: Which ϕ variant to evaluate.
         max_length: Optional bound on the length of produced paths.  Mandatory
-            for WALK over inputs whose closure is infinite; ignored by
-            SHORTEST (which always terminates).
-        join_index: Optional prebuilt :class:`JoinIndex` over ``base``.
-            Callers that materialize the base anyway (the physical
-            ``_RecursiveOp``, the logical evaluator) pass it in so the index
-            is built exactly once per closure.
-        budget: Optional cooperative cancellation token.  The fix-point loops
-            consult the clock at every frontier-expansion boundary, and large
-            frontiers are processed in ``_BUDGET_BATCH``-sized chunks with a
-            check per chunk, so a deadline kills the closure within one check
-            interval even mid-round.
-        seeds: Start here, index over ``base``: a subset of ``base`` (in base
+            for WALK over inputs whose closure is infinite; SHORTEST always
+            terminates without one.
+        budget: Optional cooperative cancellation token.  Every produced path
+            is charged, the clock is consulted at every round boundary and
+            every ``_BUDGET_BATCH`` consumed frontier entries, so a deadline
+            kills the closure within one check interval even in a round that
+            produces almost nothing.
+        seeds: Start here, extend through ``base``: a subset of ``base`` (in base
             order) the frontier and the result start from, while extensions
             still come from all of ``base``.  With ``seeds = σ[first.c](base)``
             the result is ``σ[first.c](ϕ(base))`` in the same order, and only
@@ -179,28 +168,44 @@ def recursive_closure(
             reachable cycle and therefore infinitely many walks).
         BudgetExceeded: when ``budget`` is exhausted before the fix point.
     """
-    if seeds is not None and not len(seeds):
-        return PathSet()
-    if len(base):
-        # Columnar fast path: when the query's graph view is backed by a
-        # current CompactGraph core, run the closure on the int encoding
-        # (see semantics/int_closure.py — byte-identical by construction,
-        # falls through to the object strategies if the base won't encode).
-        compact = compact_core_of(next(iter(base)).graph)
-        if compact is not None:
-            from repro.semantics.int_closure import int_recursive_closure
+    graph, paths, produced = _closure(base, restrictor, max_length, budget, seeds)
+    unchecked = Path._unchecked
+    paths += [unchecked(graph, seq[::2], seq[1::2]) for seq in produced]
+    return PathSet.from_unique(paths)
 
-            result = int_recursive_closure(compact, base, restrictor, max_length, budget, seeds)
-            if result is not None:
-                return result
-    if join_index is None:
-        join_index = JoinIndex(base)
-    origin = base if seeds is None else seeds
-    if restrictor is Restrictor.SHORTEST:
-        return _closure_shortest(base, origin, max_length, join_index, budget)
-    if restrictor is Restrictor.WALK:
-        return _closure_walk(base, origin, max_length, join_index, budget)
-    return _closure_pruned(origin, restrictor, max_length, join_index, budget)
+
+def iter_recursive_closure(
+    base: PathSet,
+    restrictor: Restrictor = Restrictor.WALK,
+    max_length: int | None = None,
+    budget: QueryBudget | None = None,
+    seeds: PathSet | None = None,
+) -> Iterator[Path]:
+    """Lazily yield ``ϕ_restrictor(base)``: the base first, then each fix-point round.
+
+    The streaming form of :func:`recursive_closure`, used by the pull-based
+    pipeline so a cursor that consumes only a handful of paths never pays for
+    (or holds in memory) the rest of the closure: rounds are expanded one
+    frontier entry at a time, and suspending the generator suspends the fix
+    point with it.  Yielded paths are exactly the paths
+    :func:`recursive_closure` returns, in the same order — it drains the same
+    generator.
+
+    SHORTEST is inherently blocking — a path is only known to be shortest
+    once every competing round has been expanded — so its heap loop runs to
+    the end on the first ``next()``.
+
+    For WALK without ``max_length`` the non-termination guard of
+    :func:`recursive_closure` applies lazily: the
+    :class:`~repro.errors.NonTerminatingQueryError` is raised at the moment
+    an over-long walk would be generated, so a consumer that stops earlier
+    never sees it.
+    """
+    graph, paths, produced = _closure(base, restrictor, max_length, budget, seeds)
+    yield from paths
+    unchecked = Path._unchecked
+    for seq in produced:
+        yield unchecked(graph, seq[::2], seq[1::2])
 
 
 def recursive_closure_postfilter(
@@ -209,633 +214,291 @@ def recursive_closure_postfilter(
     max_length: int,
     budget: QueryBudget | None = None,
 ) -> PathSet:
-    """Reference implementation: enumerate bounded walks, then filter (ablation baseline).
+    """Reference strategy: enumerate bounded walks, then filter (ablation baseline).
 
     Unlike :func:`recursive_closure`, non-conforming intermediate paths are
     kept and extended, so the cost is the full walk-closure cost regardless of
     the restrictor.  Results are identical to the pruning strategy whenever
     ``max_length`` is large enough to cover every conforming path.
     """
-    walks = _closure_walk(base, base, max_length, JoinIndex(base), budget)
+    walks = recursive_closure(base, Restrictor.WALK, max_length, budget)
     return filter_by_restrictor(walks, restrictor)
 
 
-def iter_recursive_closure(
+# ----------------------------------------------------------------------
+# The kernel
+# ----------------------------------------------------------------------
+def _closure(
     base: PathSet,
-    restrictor: Restrictor = Restrictor.WALK,
-    max_length: int | None = None,
-    join_index: JoinIndex | None = None,
-    budget: QueryBudget | None = None,
-    seeds: PathSet | None = None,
-) -> Iterator[Path]:
-    """Lazily yield ``ϕ_restrictor(base)``: the base first, then each fix-point round.
+    restrictor: Restrictor,
+    max_length: int | None,
+    budget: QueryBudget | None,
+    seeds: PathSet | None,
+) -> tuple[object, list[Path], Iterable[_Seq]]:
+    """The closure as ``(graph, paths it starts with, interleaved tuples that follow)``.
 
-    The streaming twin of :func:`recursive_closure`, used by the pull-based
-    pipeline so a cursor that consumes only a handful of paths never pays for
-    (or holds in memory) the rest of the closure: rounds are expanded one
-    frontier entry at a time, and suspending the generator suspends the fix
-    point with it.  Yielded paths are exactly the paths
-    :func:`recursive_closure` returns, already deduplicated; only the order
-    differs from no caller-visible order guarantee to "base, then round by
-    round".
-
-    SHORTEST is inherently blocking — a path is only known to be shortest
-    once every competing round has been expanded — so it materializes through
-    :func:`recursive_closure` and iterates the result.
-
-    For WALK without ``max_length`` the non-termination guard of
-    :func:`recursive_closure` applies lazily: the
-    :class:`~repro.errors.NonTerminatingQueryError` is raised at the moment
-    an over-long walk would be generated, so a consumer that stops earlier
-    never sees it.
-
-    ``seeds`` means what it means to :func:`recursive_closure`: the seeds
-    first (where the unseeded stream has them), then each round.
+    The paths are the conforming origin (``base`` or its ``seeds``) in base
+    order, the caller's own :class:`Path` objects; the tuples — lazy for the
+    round-by-round restrictors — decode against ``graph``.  ϕShortest orders by
+    length rather than origin first, so everything it finds is in the tuples.
+    This is the only place a :class:`Path` is turned into a tuple: the two loops
+    below see tuples and nothing else.
     """
-    if seeds is not None and not len(seeds):
-        return
-    if len(base):
-        # Columnar fast path (see recursive_closure): the int twin decides
-        # encodability eagerly, so a None here is a clean object fallback.
-        compact = compact_core_of(next(iter(base)).graph)
-        if compact is not None:
-            from repro.semantics.int_closure import int_iter_recursive_closure
-
-            iterator = int_iter_recursive_closure(
-                compact, base, restrictor, max_length, budget, seeds
-            )
-            if iterator is not None:
-                yield from iterator
-                return
-    if join_index is None:
-        join_index = JoinIndex(base)
     origin = base if seeds is None else seeds
-    if restrictor is Restrictor.SHORTEST:
-        yield from _closure_shortest(base, origin, max_length, join_index, budget)
-        return
-    if restrictor is Restrictor.WALK:
-        yield from _iter_closure_walk(base, origin, max_length, join_index, budget)
-        return
-    yield from _iter_closure_pruned(origin, restrictor, max_length, join_index, budget)
-
-
-def _iter_closure_walk(
-    base: PathSet,
-    origin: PathSet,
-    max_length: int | None,
-    index: JoinIndex,
-    budget: QueryBudget | None = None,
-) -> Iterator[Path]:
-    """Streaming variant of :func:`_closure_walk` (same set, round-by-round order).
-
-    The budget is charged per produced path rather than per frontier chunk
-    (a suspended generator holds no backlog, and streaming consumers are
-    latency-bound, not throughput-bound), with one extra safeguard the
-    production-rate accounting alone would miss: the clock is also consulted
-    every ``_BUDGET_BATCH`` *consumed* frontier entries, so a round that
-    scans an enormous frontier while producing almost nothing (most
-    candidates rejected or already seen) still observes its deadline
-    mid-round — the same granularity the blocking closures' chunked loops
-    promise.
-    """
-    if not len(base):
-        return
-    distinct_edges = {edge_id for path in base for edge_id in path.edge_ids}
-    termination_bound = len(distinct_edges)
-    graph = next(iter(base)).graph
-    bound = max_length if max_length is not None else termination_bound
-    guard = max_length is None
-    buckets = _annotate_extensions(index, lambda ext: ())
-    unchecked = Path._unchecked
-    bucket_of = buckets.get
-    budgeted = budget is not None
-    depth = 0
-    scanned = 0
-
-    seen: set[Path] = set(base)
-    frontier: list[Path] = list(seen)
-    if origin is not base:
-        # Seeded: the seeds where the hash-ordered bootstrap above has them.
-        frontier = [path for path in frontier if path in origin]
-        seen = set(frontier)
-    yield from frontier
-    while frontier:
-        produced: list[Path] = []
-        if budgeted:
-            depth += 1
-            budget.checkpoint("ϕWalk", depth=depth)
-        for path in frontier:
-            if budgeted:
-                scanned += 1
-                if scanned >= _BUDGET_BATCH:
-                    scanned = 0
-                    budget.checkpoint("ϕWalk")
-            extensions = bucket_of(path.last())
-            if not extensions:
-                continue
-            length = path.len()
-            nodes = path.node_ids
-            edges = path.edge_ids
-            for ext_len, _, nodes_tail, ext_edges in extensions:
-                if length + ext_len > bound:
-                    if guard:
-                        raise NonTerminatingQueryError(
-                            "ϕWalk does not terminate on this input (cycle detected); "
-                            "provide max_length or use a restricted ϕ variant"
-                        )
-                    continue
-                joined = unchecked(graph, nodes + nodes_tail, edges + ext_edges)
-                if joined not in seen:
-                    seen.add(joined)
-                    produced.append(joined)
-                    if budgeted:
-                        budget.charge(1, "ϕWalk")
-                    yield joined
-        frontier = produced
-
-
-def _iter_closure_pruned(
-    origin: PathSet,
-    restrictor: Restrictor,
-    max_length: int | None,
-    index: JoinIndex,
-    budget: QueryBudget | None = None,
-) -> Iterator[Path]:
-    """Streaming variant of :func:`_closure_pruned` (Trail / Acyclic / Simple)."""
-    predicate = _PREDICATES[restrictor]
-    conforming_base = [path for path in origin if predicate(path)]
-    if not conforming_base:
-        return
-
-    trail = restrictor is Restrictor.TRAIL
-    simple = restrictor is Restrictor.SIMPLE
-    graph = conforming_base[0].graph
-    bound = max_length if max_length is not None else float("inf")
-    if trail:
-        buckets = _annotate_extensions(index, lambda ext: ext.edge_ids)
-        frontier = [(path, set(path.edge_ids)) for path in conforming_base]
-    else:
-        buckets = _annotate_extensions(index, lambda ext: ext.node_ids[1:])
-        frontier = [(path, set(path.node_ids)) for path in conforming_base]
-
-    unchecked = Path._unchecked
-    bucket_of = buckets.get
-    budgeted = budget is not None
-    label = _closure_label(restrictor) if budgeted else ""
-    depth = 0
-    scanned = 0
-
-    seen: set[Path] = set(conforming_base)
-    yield from conforming_base
-    while frontier:
-        produced: list[tuple[Path, set[str]]] = []
-        if budgeted:
-            depth += 1
-            budget.checkpoint(label, depth=depth)
-        for path, visited in frontier:
-            if budgeted:
-                # Clock check per consumed frontier chunk, not only per
-                # produced path: rejection-heavy rounds stay killable (see
-                # _iter_closure_walk).
-                scanned += 1
-                if scanned >= _BUDGET_BATCH:
-                    scanned = 0
-                    budget.checkpoint(label)
-            extensions = bucket_of(path.last())
-            if not extensions:
-                continue
-            length = path.len()
-            nodes = path.node_ids
-            edges = path.edge_ids
-            if simple:
-                first = nodes[0]
-                closed = length > 0 and first == nodes[-1]
-            for ext_len, check_ids, nodes_tail, ext_edges in extensions:
-                if length + ext_len > bound:
-                    continue
-                if trail:
-                    extended = extend_trail_state(visited, check_ids)
-                elif simple:
-                    extended = extend_simple_state(visited, first, closed, check_ids)
-                else:
-                    extended = extend_acyclic_state(visited, check_ids)
-                if extended is None:
-                    continue
-                joined = unchecked(graph, nodes + nodes_tail, edges + ext_edges)
-                if joined not in seen:
-                    seen.add(joined)
-                    produced.append((joined, extended))
-                    if budgeted:
-                        budget.charge(1, label)
-                    yield joined
-        frontier = produced
-
-
-# ----------------------------------------------------------------------
-# Walk closure
-# ----------------------------------------------------------------------
-def _closure_walk(
-    base: PathSet,
-    origin: PathSet,
-    max_length: int | None,
-    index: JoinIndex,
-    budget: QueryBudget | None = None,
-) -> PathSet:
-    """Fix point of Definition 4.1 with an optional length bound.
-
-    ``origin`` is what the frontier and the result start from: ``base`` itself,
-    or its seeds (:func:`recursive_closure`).  ``index`` is over ``base``.
-
-    Without a bound, a sound non-termination detector is used: if any produced
-    path becomes longer than the total number of distinct edges occurring in
-    ``base`` (all of it, whatever the origin), some edge repeats, hence the
-    base contains a reachable cycle and the walk closure is infinite.
-
-    The length bound is checked *before* the candidate path is constructed, so
-    out-of-bound extensions cost two integer additions and nothing else.
-    """
-    distinct_edges = {edge_id for path in base for edge_id in path.edge_ids}
-    termination_bound = len(distinct_edges)
-
     if not len(origin):
-        return PathSet.from_unique(origin)
+        return None, [], ()
     graph = next(iter(origin)).graph
-    bound = max_length if max_length is not None else termination_bound
-    guard = max_length is None
-    buckets = _annotate_extensions(index, lambda ext: ())
-    unchecked = Path._unchecked
-    bucket_of = buckets.get
-    budgeted = budget is not None
-    batch = _BUDGET_BATCH
-    depth = 0
-
-    # Accumulate into a plain list + set: Path hashes are cached, so handing
-    # the list to from_unique at the end costs nothing extra.
-    result_paths: list[Path] = list(origin)
-    seen: set[Path] = set(result_paths)
-    frontier: list[Path] = list(result_paths)
-    while frontier:
-        produced: list[Path] = []
-        # Budget checks happen at chunk boundaries only, so the innermost
-        # loop carries zero budget code: a big frontier is processed in
-        # _BUDGET_BATCH-sized chunks (one reference-slice alive at a time)
-        # and the clock is read after each one, bounding unchecked work by
-        # one chunk's extension scans.
-        if budgeted:
-            depth += 1
-            budget.checkpoint("ϕWalk", depth=depth)
-            split = len(frontier) > batch
-        else:
-            split = False
-        charged = 0
-        for start in range(0, len(frontier), batch) if split else (0,):
-            chunk = frontier[start : start + batch] if split else frontier
-            for path in chunk:
-                extensions = bucket_of(path.last())
-                if not extensions:
-                    continue
-                length = path.len()
-                nodes = path.node_ids
-                edges = path.edge_ids
-                for ext_len, _, nodes_tail, ext_edges in extensions:
-                    if length + ext_len > bound:
-                        if guard:
-                            raise NonTerminatingQueryError(
-                                "ϕWalk does not terminate on this input (cycle detected); "
-                                "provide max_length or use a restricted ϕ variant"
-                            )
-                        continue
-                    joined = unchecked(graph, nodes + nodes_tail, edges + ext_edges)
-                    if joined not in seen:
-                        seen.add(joined)
-                        result_paths.append(joined)
-                        produced.append(joined)
-            if budgeted:
-                if len(produced) > charged:
-                    budget.charge(len(produced) - charged, "ϕWalk")
-                    charged = len(produced)
-                budget.checkpoint("ϕWalk")
-        frontier = produced
-    return PathSet.from_unique(result_paths)
+    seqs = [path.interleaved() for path in base]
+    origin_seqs = seqs if seeds is None else [path.interleaved() for path in seeds]
+    if restrictor is Restrictor.SHORTEST:
+        return graph, [], _shortest(seqs, origin_seqs, max_length, budget)
+    predicate = _PREDICATES.get(restrictor)
+    start = [
+        (path, seq)
+        for path, seq in zip(origin, origin_seqs)
+        if predicate is None or predicate(path)
+    ]
+    if not start:
+        return graph, [], ()
+    rounds = _rounds(seqs, [seq for _, seq in start], restrictor, max_length, budget)
+    return graph, [path for path, _ in start], rounds
 
 
-# ----------------------------------------------------------------------
-# Pruned closures (Trail / Acyclic / Simple)
-# ----------------------------------------------------------------------
-def _annotate_extensions(
-    index: JoinIndex,
-    check_ids_of: Callable[[Path], tuple[str, ...]],
-) -> dict[str, list[tuple[int, tuple[str, ...], tuple[str, ...], tuple[str, ...]]]]:
-    """Precompute, per first node, the per-extension data the hot loop needs.
+def _mask_interner() -> Callable[[Iterable[Hashable]], tuple[int, bool]]:
+    """A fresh ``ids -> (bitmask, ids were pairwise distinct)`` with its own bit table.
 
-    Each entry is ``(length, check_ids, appended_nodes, appended_edges)``:
-    the identifiers probed by the incremental restrictor check and the tuples
-    concatenated onto an accepted frontier path.  Derived from the shared
-    :class:`JoinIndex` once per closure so the fix-point rounds never re-slice
-    an extension.
+    Bits are handed out in first-come order, one table per closure: the masks
+    are as narrow as the identifiers the base actually mentions (not as wide as
+    the graph), and the kernel needs no dense numbering from the graph.
     """
-    buckets: dict[str, list[tuple[int, tuple[str, ...], tuple[str, ...], tuple[str, ...]]]] = {}
-    for node_id in index.first_nodes():
-        buckets[node_id] = [
-            (ext.len(), check_ids_of(ext), ext.node_ids[1:], ext.edge_ids)
-            for ext in index.extensions(node_id)
-        ]
-    return buckets
+    bits: dict[Hashable, int] = {}
+
+    def mask_of(ids: Iterable[Hashable]) -> tuple[int, bool]:
+        mask = 0
+        distinct = True
+        for identifier in ids:
+            bit = bits.get(identifier)
+            if bit is None:
+                bit = bits[identifier] = 1 << len(bits)
+            elif mask & bit:
+                distinct = False
+            mask |= bit
+        return mask, distinct
+
+    return mask_of
 
 
-def _closure_pruned(
-    origin: PathSet,
+#: What a restrictor probes, as slices of an interleaved tuple: of a base path
+#: used as an *extension* (its first node is the extended path's last and is
+#: already accounted for), and of a path the closure *starts* from.  Trail
+#: probes edges, Acyclic nodes; Simple probes an extension's nodes except its
+#: last, which alone may close a cycle back to the first node and is checked
+#: separately.  Walk probes nothing: its masks are all zero.
+_NOTHING = slice(0, 0)
+_PROBES: dict[Restrictor, tuple[slice, slice]] = {
+    Restrictor.WALK: (_NOTHING, _NOTHING),
+    Restrictor.TRAIL: (slice(1, None, 2), slice(1, None, 2)),
+    Restrictor.ACYCLIC: (slice(2, None, 2), slice(0, None, 2)),
+    Restrictor.SIMPLE: (slice(2, -1, 2), slice(0, None, 2)),
+}
+
+_NON_TERMINATING = (
+    "ϕWalk does not terminate on this input (cycle detected); "
+    "provide max_length or use a restricted ϕ variant"
+)
+
+
+def _rounds(
+    base: list[_Seq],
+    start: list[_Seq],
     restrictor: Restrictor,
     max_length: int | None,
-    index: JoinIndex,
-    budget: QueryBudget | None = None,
-) -> PathSet:
-    """Fix point that discards non-conforming paths as soon as they appear.
+    budget: QueryBudget | None,
+) -> Iterator[_Seq]:
+    """The fix point of Definition 4.1 beyond ``start``, one new path per ``next()``.
 
-    ``origin`` is the base or its seeds; ``index`` is over the whole base.
+    ``start`` is the conforming origin; extensions come from all of ``base``,
+    bucketed per first node in base order.  Each bucket entry is ``(length,
+    mask, distinct, tail)`` — the bits the restrictor probes, whether the
+    probed identifiers are distinct among themselves (a property of the
+    extension alone, decided once), and the interleaved slice appended to an
+    accepted path — plus, for Simple, the extension's last node and its bit.
+    Each frontier entry carries the mask of what its path visited, so a
+    rejected candidate costs one ``&`` and is never built or hashed.
 
     Pruning is complete for Trail, Acyclic and Simple because removing the
     last base segment from a conforming path yields a conforming path: the
     prefix of a trail is a trail, the prefix of an acyclic path is acyclic,
-    and the prefix of a simple path is acyclic (hence simple).
-
-    Each frontier entry carries the set of visited edges (Trail) or nodes
-    (Acyclic / Simple), so conformance of an extension is decided by O(1)
-    membership probes on the appended segment — see the ``extend_*_state``
-    checkers in :mod:`repro.paths.predicates` — and rejected candidates are
-    never constructed, hashed, or re-scanned.  The path-level predicates
-    remain as oracles for the property tests.
+    and the prefix of a simple path is acyclic (hence simple).  ϕWalk is the
+    same loop with all-zero masks and, unbounded, a sound non-termination
+    detector: a walk longer than the number of distinct edges in all of
+    ``base`` repeats an edge, so a cycle is reachable and the closure infinite.
+    The length bound is checked before a candidate is built.
     """
-    predicate = _PREDICATES[restrictor]
-    conforming_base = [path for path in origin if predicate(path)]
-    if not conforming_base:
-        return PathSet.from_unique(conforming_base)
-
-    trail = restrictor is Restrictor.TRAIL
     simple = restrictor is Restrictor.SIMPLE
-    graph = conforming_base[0].graph
-    bound = max_length if max_length is not None else float("inf")
-    if trail:
-        buckets = _annotate_extensions(index, lambda ext: ext.edge_ids)
-        frontier = [(path, set(path.edge_ids)) for path in conforming_base]
+    guard = restrictor is Restrictor.WALK and max_length is None
+    if guard:
+        bound = len({edge_id for seq in base for edge_id in seq[1::2]})
     else:
-        buckets = _annotate_extensions(index, lambda ext: ext.node_ids[1:])
-        frontier = [(path, set(path.node_ids)) for path in conforming_base]
+        bound = sys.maxsize if max_length is None else max_length
+    mask_of = _mask_interner()
+    probe, visited_by = _PROBES[restrictor]
+    buckets: dict[Hashable, list[tuple]] = {}
+    for seq in base:
+        if len(seq) == 1:
+            continue  # p ∘ (n) = p: a zero-length segment never yields a new path
+        mask, distinct = mask_of(seq[probe])
+        entry = (len(seq) // 2, mask, distinct, seq[1:])
+        if simple:
+            entry += (seq[-1], mask_of(seq[-1:])[0])
+        buckets.setdefault(seq[0], []).append(entry)
+    frontier = [(seq, mask_of(seq[visited_by])[0]) for seq in start]
+    # Membership only, never iterated: hash order cannot leak into the result.
+    seen = set(start)
 
-    unchecked = Path._unchecked
     bucket_of = buckets.get
-    extend_trail = extend_trail_state
-    extend_acyclic = extend_acyclic_state
-    extend_simple = extend_simple_state
     budgeted = budget is not None
-    label = _closure_label(restrictor) if budgeted else ""
-    batch = _BUDGET_BATCH
+    label = f"ϕ{restrictor.value.capitalize()}"
     depth = 0
-
-    result_paths: list[Path] = list(conforming_base)
-    seen: set[Path] = set(result_paths)
+    scanned = 0
     while frontier:
-        produced: list[tuple[Path, set[str]]] = []
-        # Chunked budget checks (see _closure_walk): the innermost loop
-        # carries zero budget code; the clock is read per frontier chunk.
+        produced: list[tuple[_Seq, int]] = []
         if budgeted:
             depth += 1
             budget.checkpoint(label, depth=depth)
-            split = len(frontier) > batch
-        else:
-            split = False
-        charged = 0
-        for start in range(0, len(frontier), batch) if split else (0,):
-            chunk = frontier[start : start + batch] if split else frontier
-            for path, visited in chunk:
-                extensions = bucket_of(path.last())
-                if not extensions:
-                    continue
-                length = path.len()
-                nodes = path.node_ids
-                edges = path.edge_ids
-                if simple:
-                    first = nodes[0]
-                    closed = length > 0 and first == nodes[-1]
-                for ext_len, check_ids, nodes_tail, ext_edges in extensions:
+        for seq, visited in frontier:
+            if budgeted:
+                # Clock check per consumed frontier chunk, not only per
+                # produced path: rejection-heavy rounds stay killable.
+                scanned += 1
+                if scanned >= _BUDGET_BATCH:
+                    scanned = 0
+                    budget.checkpoint(label)
+            extensions = bucket_of(seq[-1])
+            if not extensions:
+                continue
+            length = len(seq) // 2
+            if simple:
+                first = seq[0]
+                if length and first == seq[-1]:
+                    continue  # a closed cycle: extending it would repeat its first node inside
+                for ext_len, prefix_mask, distinct, tail, last, last_bit in extensions:
                     if length + ext_len > bound:
                         continue
-                    if trail:
-                        extended = extend_trail(visited, check_ids)
-                    elif simple:
-                        extended = extend_simple(visited, first, closed, check_ids)
-                    else:
-                        extended = extend_acyclic(visited, check_ids)
-                    if extended is None:
+                    if not distinct or visited & prefix_mask:
                         continue
-                    joined = unchecked(graph, nodes + nodes_tail, edges + ext_edges)
-                    if joined not in seen:
-                        seen.add(joined)
-                        result_paths.append(joined)
+                    extended = visited | prefix_mask
+                    if last != first:
+                        if extended & last_bit:
+                            continue
+                        extended |= last_bit
+                    joined = seq + tail
+                    known = len(seen)
+                    seen.add(joined)
+                    if len(seen) != known:
                         produced.append((joined, extended))
-            if budgeted:
-                if len(produced) > charged:
-                    budget.charge(len(produced) - charged, label)
-                    charged = len(produced)
-                budget.checkpoint(label)
+                        if budgeted:
+                            budget.charge(1, label)
+                        yield joined
+            else:
+                for ext_len, ext_mask, distinct, tail in extensions:
+                    if length + ext_len > bound:
+                        if guard:
+                            raise NonTerminatingQueryError(_NON_TERMINATING)
+                        continue
+                    if not distinct or visited & ext_mask:
+                        continue
+                    joined = seq + tail
+                    known = len(seen)
+                    seen.add(joined)
+                    if len(seen) != known:
+                        produced.append((joined, visited | ext_mask))
+                        if budgeted:
+                            budget.charge(1, label)
+                        yield joined
         frontier = produced
-    return PathSet.from_unique(result_paths)
 
 
-# ----------------------------------------------------------------------
-# Shortest closure
-# ----------------------------------------------------------------------
-def _closure_shortest(
-    base: PathSet,
-    origin: PathSet,
+def _shortest(
+    base: list[_Seq],
+    origin: list[_Seq],
     max_length: int | None,
-    index: JoinIndex,
-    budget: QueryBudget | None = None,
-) -> PathSet:
-    """All minimum-length closure paths per endpoint pair (ϕShortest).
+    budget: QueryBudget | None,
+) -> list[_Seq]:
+    """All minimum-length closure paths per endpoint pair (ϕShortest), in pop order.
 
-    The base paths are treated as weighted edges of a *derived graph* (weight
-    = path length); a Dijkstra-style expansion ordered by total length
-    enumerates every composition whose length equals the distance between its
-    endpoints.  Compositions strictly longer than the known distance of their
-    endpoints can never be prefixes of new shortest compositions (a shorter
-    prefix always exists in the closure), so they are discarded, which
-    guarantees termination even on cyclic inputs.
+    The base paths are treated as weighted
+    edges of a *derived graph* (weight = path length); a Dijkstra-style
+    expansion ordered by total length enumerates every composition whose
+    length equals the distance between its endpoints.  Compositions strictly
+    longer than the known distance of their endpoints can never be prefixes
+    of new shortest compositions (a shorter prefix always exists in the
+    closure), so they are discarded, which guarantees termination even on
+    cyclic inputs.
 
-    Base paths that are already dominated at insert time — another base path
+    Origin paths that are already dominated at insert time — another base path
     connects the same endpoint pair with strictly fewer edges — are skipped
     instead of pushed: the shorter path pops first, so the dominated one could
     only ever be discarded at pop time anyway.  Domination is decided over
     all of ``base``; only ``origin`` (the base or its seeds) is pushed.
     """
-    best_base: dict[tuple[str, str], int] = {}
-    for path in base:
-        if max_length is not None and path.len() > max_length:
+    bound = sys.maxsize if max_length is None else max_length
+    best_base: dict[tuple[Hashable, Hashable], int] = {}
+    buckets: dict[Hashable, list[tuple[int, Hashable, _Seq]]] = {}
+    for seq in base:
+        length = len(seq) // 2
+        if length > bound:
             continue
-        key = path.endpoints()
-        length = path.len()
+        key = (seq[0], seq[-1])
         known = best_base.get(key)
         if known is None or length < known:
             best_base[key] = length
+        if length:  # p ∘ (n) = p: a zero-length segment never yields a new path
+            buckets.setdefault(seq[0], []).append((length, seq[-1], seq[1:]))
 
-    best: dict[tuple[str, str], int] = {}
-    results = PathSet()
     tie_breaker = count()
-
-    heap: list[tuple[int, int, Path]] = []
-    for path in origin:
-        length = path.len()
-        if max_length is not None and length > max_length:
+    heap: list[tuple[int, int, _Seq]] = []
+    for seq in origin:
+        length = len(seq) // 2
+        if length > bound or length > best_base[(seq[0], seq[-1])]:
             continue
-        if length > best_base[path.endpoints()]:
-            continue
-        heapq.heappush(heap, (length, next(tie_breaker), path))
+        heapq.heappush(heap, (length, next(tie_breaker), seq))
 
-    budgeted = budget is not None
-    batch = _BUDGET_BATCH
-    pending = 0
-    seen: set[Path] = set()
-    while heap:
-        length, _, path = heapq.heappop(heap)
-        if budgeted:
-            pending += 1
-            if pending >= batch:
-                budget.note_depth(length)
-                budget.charge(pending, "ϕShortest")
-                pending = 0
-        if path in seen:
-            continue
-        seen.add(path)
-        key = path.endpoints()
-        known = best.get(key)
-        if known is None:
-            best[key] = length
-        elif length > known:
-            continue
-        results.add(path)
-        last = path.last()
-        for extension in index.extensions(last):
-            new_length = length + extension.len()
-            if max_length is not None and new_length > max_length:
-                continue
-            new_key = (path.first(), extension.last())
-            known_new = best.get(new_key)
-            if known_new is not None and new_length > known_new:
-                continue
-            new_path = path.concat(extension)
-            if new_path not in seen:
-                heapq.heappush(heap, (new_length, next(tie_breaker), new_path))
-    if budgeted and pending:
-        budget.charge(pending, "ϕShortest")
-    return results
-
-
-# ----------------------------------------------------------------------
-# Pre-incremental baseline (perf oracle)
-# ----------------------------------------------------------------------
-def recursive_closure_baseline(
-    base: PathSet,
-    restrictor: Restrictor = Restrictor.WALK,
-    max_length: int | None = None,
-    budget: QueryBudget | None = None,
-) -> PathSet:
-    """The pre-incremental closure strategy, retained as a measurable baseline.
-
-    On every fix-point round it wraps the frontier in a fresh :class:`PathSet`
-    (re-hashing every path), re-indexes the unchanged base via
-    :meth:`PathSet.join`, and classifies each candidate with a full
-    end-to-end predicate scan.  Results are identical to
-    :func:`recursive_closure` (asserted by the equivalence property tests);
-    only the work per candidate differs.  ``BENCH_closure.json`` records the
-    speedup of the incremental engine over this strategy.
-    """
-    if restrictor is Restrictor.SHORTEST:
-        return _baseline_shortest(base, max_length, budget)
-    predicate = _PREDICATES.get(restrictor)
-    if predicate is None:
-        conforming = list(base)
-    else:
-        conforming = [path for path in base if predicate(path)]
-
-    distinct_edges = {edge_id for path in base for edge_id in path.edge_ids}
-    termination_bound = len(distinct_edges)
-
-    label = _closure_label(restrictor)
-    depth = 0
-    result = PathSet(conforming)
-    frontier = list(conforming)
-    while frontier:
-        if budget is not None:
-            depth += 1
-            budget.checkpoint(label, depth=depth)
-        produced: list[Path] = []
-        joined = PathSet(frontier).join(base, budget=budget)
-        for path in joined:
-            if max_length is not None and path.len() > max_length:
-                continue
-            if predicate is None and max_length is None and path.len() > termination_bound:
-                raise NonTerminatingQueryError(
-                    "ϕWalk does not terminate on this input (cycle detected); "
-                    "provide max_length or use a restricted ϕ variant"
-                )
-            if predicate is not None and not predicate(path):
-                continue
-            if result.add(path):
-                produced.append(path)
-        frontier = produced
-    return result
-
-
-def _baseline_shortest(
-    base: PathSet, max_length: int | None, budget: QueryBudget | None = None
-) -> PathSet:
-    """The pre-incremental ϕShortest: no insert-time domination check."""
-    best: dict[tuple[str, str], int] = {}
-    results = PathSet()
-    tie_breaker = count()
-
-    heap: list[tuple[int, int, Path]] = []
-    for path in base:
-        if max_length is not None and path.len() > max_length:
-            continue
-        heapq.heappush(heap, (path.len(), next(tie_breaker), path))
-
-    base_by_first: dict[str, list[Path]] = {}
-    for path in base:
-        base_by_first.setdefault(path.first(), []).append(path)
-
+    best: dict[tuple[Hashable, Hashable], int] = {}
+    found: list[_Seq] = []
+    bucket_of = buckets.get
     budgeted = budget is not None
     pending = 0
-    seen: set[Path] = set()
+    seen: set[_Seq] = set()
     while heap:
-        length, _, path = heapq.heappop(heap)
+        length, _, seq = heapq.heappop(heap)
         if budgeted:
             pending += 1
             if pending >= _BUDGET_BATCH:
                 budget.note_depth(length)
                 budget.charge(pending, "ϕShortest")
                 pending = 0
-        if path in seen:
+        if seq in seen:
             continue
-        seen.add(path)
-        key = path.endpoints()
+        seen.add(seq)
+        first = seq[0]
+        key = (first, seq[-1])
         known = best.get(key)
         if known is None:
             best[key] = length
         elif length > known:
             continue
-        results.add(path)
-        for extension in base_by_first.get(path.last(), ()):
-            new_path = path.concat(extension)
-            new_length = new_path.len()
-            if max_length is not None and new_length > max_length:
+        found.append(seq)
+        for ext_len, last, tail in bucket_of(seq[-1], ()):
+            new_length = length + ext_len
+            if new_length > bound:
                 continue
-            new_key = new_path.endpoints()
-            known_new = best.get(new_key)
+            known_new = best.get((first, last))
             if known_new is not None and new_length > known_new:
                 continue
-            if new_path not in seen:
-                heapq.heappush(heap, (new_length, next(tie_breaker), new_path))
+            new_seq = seq + tail
+            if new_seq not in seen:
+                heapq.heappush(heap, (new_length, next(tie_breaker), new_seq))
     if budgeted and pending:
         budget.charge(pending, "ϕShortest")
-    return results
+    return found

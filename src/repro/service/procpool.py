@@ -443,7 +443,7 @@ class ProcessWorkerPool:
         version — the flat :class:`~repro.graph.compact.CompactGraph` arrays
         replace the object web entirely (fork COWs them as a few contiguous
         pages; spawn pickles arrays instead of dataclass instances) and the
-        workers run the int-encoded closure path.  A mutable graph ships
+        workers read the columns.  A mutable graph ships
         as-is: tasks may pin older versions, which needs the
         ``GraphSnapshot`` filtering only the object graph supports.
         """

@@ -19,6 +19,7 @@ from repro.baselines.automaton_eval import (
     evaluate_rpq_pairs,
     evaluate_rpq_shortest_witnesses,
 )
+from repro.baselines.closure import recursive_closure_baseline
 from repro.baselines.traversal import TraversalOptions, evaluate_rpq_traversal
 from repro.datasets.generators import complete_graph, cycle_graph
 from repro.datasets.ldbc import ldbc_like_graph
@@ -26,11 +27,7 @@ from repro.engine.engine import PathQueryEngine
 from repro.errors import BudgetExceeded
 from repro.execution import ExecutionStatistics, QueryBudget
 from repro.paths.pathset import PathSet
-from repro.semantics.restrictors import (
-    Restrictor,
-    recursive_closure,
-    recursive_closure_baseline,
-)
+from repro.semantics.restrictors import Restrictor, recursive_closure
 
 #: A Walk recursion over the cyclic LDBC-like Knows network: the workload the
 #: issue names as the one that wedges a worker when budgets don't exist.

@@ -29,7 +29,6 @@ from repro.execution import QueryBudget
 from repro.graph.compact import AutoCompactPolicy, CompactGraph, compact_core_of
 from repro.graph.model import PropertyGraph
 from repro.paths.intpath import IntPath, IntPathSet, decode_seq, encode_seq
-from repro.paths.join_index import IntJoinIndex
 from repro.paths.pathset import PathSet
 from repro.semantics.restrictors import (
     Restrictor,
@@ -275,20 +274,6 @@ class TestIntEncoding:
         encoded = IntPathSet.encode(compact, paths)
         assert len(encoded) == len(paths)
         assert _ordered(encoded.decode(graph)) == _ordered(paths)
-
-    def test_int_join_index_buckets_match_object_index(self) -> None:
-        graph = figure1_graph()
-        compact = graph.ensure_compact()
-        base = PathSet.edges_of(graph)
-        encoded = IntPathSet.encode(compact, base)
-        index = IntJoinIndex(encoded.seqs)
-        for node_id in graph.node_ids():
-            node_index = compact.node_index_of(node_id)
-            got = [
-                compact.edge_id_at(seq[1]) for seq in index.extensions(node_index)
-            ]
-            expected = [e.id for e in graph.out_edges(node_id)]
-            assert got == expected, node_id
 
 
 # ----------------------------------------------------------------------
