@@ -93,10 +93,10 @@ def test_raw_constant_varying_texts_never_hit(measured) -> None:
     assert measured["raw_plan_cache"]["misses"] >= measured["distinct_constants"]
 
 
-def test_prepared_is_faster_than_raw(measured) -> None:
+def test_prepared_plans_once_raw_plans_per_constant(measured) -> None:
     """Why prepared wins, as counts: one parse against one per binding.
 
-    (The name is historical.)  The speedup itself (``speedup_prepared_vs_raw``) is a reported column —
+    The speedup itself (``speedup_prepared_vs_raw``) is a reported column —
     a wall-clock inequality over 30-60 millisecond-scale requests is noise
     on a shared host — but what it stands for is exact: the prepared side
     planned once and hit for every binding, the raw side planned per constant.

@@ -2,7 +2,7 @@
 
 The serving layer (PERFORMANCE.md, "Serving queries concurrently") pins every
 submitted query to a graph snapshot and shares a lock-striped plan cache and
-a version-keyed result cache across its workers.  This experiment measures a
+a delta-validated result cache across its workers.  This experiment measures a
 read-only batch two ways on the :func:`repro.bench.workloads.service_workloads`
 pair:
 
@@ -23,8 +23,7 @@ timing counts.
 
 Since the process pool landed, the same workloads also run under
 ``execution_mode="processes"`` with 2 and 4 forked workers (``process-N``
-rows) and under ``execution_mode="race"`` (``race-N`` rows, with per-query
-winner attribution).  Process workers sidestep the GIL entirely, so the
+rows).  Process workers sidestep the GIL entirely, so the
 cache-cold ``speedup_vs_serial`` of the ``process-N`` rows is the number
 this benchmark exists to demonstrate — on a multi-core host.  On a 1-CPU
 container the fork/IPC overhead makes those same rows honest losses; the
@@ -34,10 +33,10 @@ Two durability-era measurements ride along (PERFORMANCE.md, "Durability and
 delta-aware invalidation"):
 
 * **mixed-read-write** — one deterministic schedule of hot reads and
-  mostly-disjoint writes replayed under ``invalidation="version"`` and
-  ``invalidation="delta"``; the reported metric is the result-cache hit
-  rate, and every read is checked byte-for-byte against a cache-free
-  reference replay of the same schedule;
+  mostly-disjoint writes; the reported metric is the result-cache hit rate
+  with its cross-version hits and delta rejections, and every read is
+  checked byte-for-byte against a cache-free reference replay of the same
+  schedule;
 * **wal-fsync** — per-mutation append latency of a :class:`DurableStore`
   under each fsync policy, so the durability cost of ``always`` is on the
   record next to the cache wins.
@@ -65,10 +64,9 @@ from repro.service import QueryService
 WORKLOADS = service_workloads()
 MIXED = mixed_service_workload()
 WORKER_COUNTS = (0, 2, 4, 8)
-#: (execution_mode, workers) pairs for the process-backed rows.
-PROCESS_CONFIGS = (("processes", 2), ("processes", 4), ("race", 2))
+#: Worker counts of the process-backed rows.
+PROCESS_WORKER_COUNTS = (2, 4)
 REPETITIONS = 1 if quick_mode() else 2
-INVALIDATION_MODES = ("version", "delta")
 WAL_WRITES = 100 if quick_mode() else 400
 
 
@@ -122,17 +120,6 @@ def _service_run(
                     {o.worker for o in outcomes if not o.result_cache_hit}
                 ),
             }
-            if execution_mode == "race":
-                # Per-query winner attribution: which executor answered each
-                # raced query (cache-served repeats never reach the pool).
-                stats["race_wins"] = dict(snapshot.race_wins)
-                stats["winner_by_query"] = [
-                    outcome.executor
-                    if outcome.route == "race" and not outcome.result_cache_hit
-                    else "cache"
-                    for outcome in outcomes
-                ]
-                stats["losers_cancelled"] = snapshot.pool.get("losers_cancelled", 0)
     return best, rendered, stats
 
 
@@ -166,20 +153,13 @@ def _measure_workload(workload) -> list[dict]:
                 **stats,
             }
         )
-    for execution_mode, workers in PROCESS_CONFIGS:
-        service_s, service_rendered, stats = _service_run(
-            workload, workers, execution_mode
-        )
-        assert service_rendered == serial_rendered, (
-            workload.name,
-            execution_mode,
-            workers,
-        )
-        prefix = "race" if execution_mode == "race" else "process"
+    for workers in PROCESS_WORKER_COUNTS:
+        service_s, service_rendered, stats = _service_run(workload, workers, "processes")
+        assert service_rendered == serial_rendered, (workload.name, "processes", workers)
         entries.append(
             {
                 "workload": workload.name,
-                "mode": f"{prefix}-{workers}",
+                "mode": f"process-{workers}",
                 "queries": len(workload.queries),
                 "unique_queries": workload.parameters["unique_queries"],
                 "seconds": round(service_s, 6),
@@ -215,16 +195,16 @@ def _mixed_reference() -> list[tuple[str, ...]]:
     return rendered
 
 
-def _mixed_run(invalidation: str) -> tuple[dict, list[tuple[str, ...]]]:
-    """Replay the mixed schedule through a service under one invalidation mode."""
+def _mixed_run() -> tuple[dict, list[tuple[str, ...]]]:
+    """Replay the mixed schedule through a delta-invalidating service."""
     graph = MIXED.build_graph()
     rendered: list[tuple[str, ...]] = []
-    with QueryService(graph, workers=0, invalidation=invalidation) as service:
+    with QueryService(graph, workers=0) as service:
         started = time.perf_counter()
         for step in MIXED.parameters["steps"]:
             if step[0] == "query":
                 outcome = service.submit(step[1]).result()
-                assert outcome.ok, (invalidation, step)
+                assert outcome.ok, step
                 rendered.append(outcome.path_strings())
             else:
                 _apply_mixed_write(graph, step)
@@ -233,7 +213,7 @@ def _mixed_run(invalidation: str) -> tuple[dict, list[tuple[str, ...]]]:
     reads = MIXED.parameters["reads"]
     entry = {
         "workload": MIXED.name,
-        "mode": f"invalidation-{invalidation}",
+        "mode": "invalidation-delta",
         "reads": reads,
         "writes": MIXED.parameters["writes"],
         "hot_writes": MIXED.parameters["hot_writes"],
@@ -272,16 +252,12 @@ def measured() -> dict[str, list[dict]]:
 
 
 @pytest.fixture(scope="module")
-def mixed_measured() -> dict[str, object]:
-    reference = _mixed_reference()
-    runs = {}
-    for invalidation in INVALIDATION_MODES:
-        entry, rendered = _mixed_run(invalidation)
-        # Byte-identical reads: neither invalidation policy may change what a
-        # query returns, only how often the cache answers it.
-        assert rendered == reference, invalidation
-        runs[invalidation] = entry
-    return {"entries": list(runs.values()), "by_mode": runs}
+def mixed_measured() -> dict:
+    entry, rendered = _mixed_run()
+    # Byte-identical reads: the result cache may change how often a query is
+    # evaluated, never what it returns.
+    assert rendered == _mixed_reference()
+    return entry
 
 
 @pytest.fixture(scope="module")
@@ -296,30 +272,13 @@ def test_service_results_match_serial(measured, workload) -> None:
     assert {entry["mode"] for entry in entries} == {
         "serial-engine",
         *(f"service-{workers}" for workers in WORKER_COUNTS),
-        *(
-            f"{'race' if mode == 'race' else 'process'}-{workers}"
-            for mode, workers in PROCESS_CONFIGS
-        ),
+        *(f"process-{workers}" for workers in PROCESS_WORKER_COUNTS),
     }
 
 
-def test_race_rows_attribute_every_query(measured) -> None:
-    """Every raced query carries a winner; wins sum to the raced count."""
-    for workload in WORKLOADS:
-        row = next(e for e in measured[workload.name] if e["mode"] == "race-2")
-        winners = row["winner_by_query"]
-        assert len(winners) == row["queries"]
-        raced = [winner for winner in winners if winner != "cache"]
-        assert raced, row["mode"]
-        assert set(raced) <= {"materialize", "pipeline"}
-        assert sum(row["race_wins"].values()) == len(raced)
-
-
-def test_cache_cold_process_pool_beats_serial(measured) -> None:
+def test_cache_cold_process_rows_run_in_forked_workers(measured) -> None:
     """What the process rows stand for, as facts that do not depend on the clock.
 
-    (The name is historical.)  This used to assert ``process-4`` beat the
-    serial loop on cold traffic.
     Since scans read the label index and joins expand along adjacency, a cold
     query runs in about a millisecond — less than a fork-pool round trip — so
     the ratio is below 1 on any core count and is reported, not asserted
@@ -328,7 +287,8 @@ def test_cache_cold_process_pool_beats_serial(measured) -> None:
     measurement), every query was evaluated by a worker process, and more than
     one forked process shared the batch.
     """
-    for mode, workers in (("process-2", 2), ("process-4", 4)):
+    for workers in PROCESS_WORKER_COUNTS:
+        mode = f"process-{workers}"
         row = next(entry for entry in measured["cache-cold"] if entry["mode"] == mode)
         assert row["executed"] == row["queries"], row
         served = row["workers_served"]
@@ -352,10 +312,10 @@ def test_cache_hot_service_beats_serial(measured) -> None:
     assert four["speedup_vs_serial"] >= 1.5, four
 
 
-def test_cache_cold_overhead_is_bounded(measured) -> None:
+def test_cache_cold_thread_rows_execute_every_query_once(measured) -> None:
     """Cold traffic has nothing to reuse: every thread row evaluates the whole batch.
 
-    (The name is historical.)  The wall-clock bound this replaces (service within 2.5x of serial) rested
+    The wall-clock bound this replaces (service within 2.5x of serial) rested
     on per-query execution dwarfing the queue hand-off; with millisecond
     queries the hand-off is the larger half and the ratio is a reported
     column.  Deterministic: nothing is served from the result cache, every
@@ -371,21 +331,19 @@ def test_cache_cold_overhead_is_bounded(measured) -> None:
 
 @pytest.mark.quick
 def test_delta_invalidation_beats_whole_version_hit_rate(mixed_measured) -> None:
-    """The ISSUE 6 acceptance measurement: delta hit rate strictly above version.
+    """The ISSUE 6 acceptance measurement, as deterministic counts.
 
     Under whole-version invalidation every write turns the next repeat of a
     hot query into a miss; delta-aware invalidation recomputes only when the
-    write's labels intersect the query's footprint, so the mostly-disjoint
-    write mix must leave it a strictly higher result-cache hit rate.
+    write's labels intersect the query's footprint.  Each cross-version hit is
+    therefore a hit whole-version keying could not have served, so a positive
+    count *is* the margin over it (reads are byte-identical to a cache-free
+    replay, asserted in the fixture).
     """
-    by_mode = mixed_measured["by_mode"]
-    delta = by_mode["delta"]
-    version = by_mode["version"]
-    assert delta["result_cache_hit_rate"] > version["result_cache_hit_rate"], by_mode
-    assert delta["cross_version_hits"] > 0
-    # Honesty check: delta mode is not a free pass — the Knows writes in the
-    # mix really do evict the footprints they touch.
-    assert delta["delta_rejected"] > 0
+    assert mixed_measured["cross_version_hits"] > 0, mixed_measured
+    # Honesty check: delta is not a free pass — the Knows writes in the mix
+    # really do evict the footprints they touch.
+    assert mixed_measured["delta_rejected"] > 0, mixed_measured
 
 
 def test_fsync_policies_are_ordered_and_counted(fsync_measured) -> None:
@@ -405,7 +363,7 @@ def test_fsync_policies_are_ordered_and_counted(fsync_measured) -> None:
 def write_report(measured, mixed_measured, fsync_measured, bench_json_path) -> None:
     yield
     entries = [entry for workload in WORKLOADS for entry in measured[workload.name]]
-    entries.extend(mixed_measured["entries"])
+    entries.append(mixed_measured)
     entries.extend(fsync_measured)
     print_table(
         ["mode", "reads", "writes", "hit_rate", "cross_version", "rejected"],
@@ -418,9 +376,9 @@ def write_report(measured, mixed_measured, fsync_measured, bench_json_path) -> N
                 e["cross_version_hits"],
                 e["delta_rejected"],
             )
-            for e in mixed_measured["entries"]
+            for e in [mixed_measured]
         ],
-        title="Mixed read/write: result-cache hit rate by invalidation policy",
+        title="Mixed read/write: result-cache hit rate under delta invalidation",
     )
     print_table(
         ["mode", "writes", "micros/write", "syncs"],
@@ -453,10 +411,8 @@ def write_report(measured, mixed_measured, fsync_measured, bench_json_path) -> N
                 "collapsing duplicate queries. process-N rows fork the workers "
                 "(execution_mode='processes') for real CPU parallelism; their "
                 "cache-cold speedup is only meaningful on the multi-core hosts "
-                "identified by metadata.host.cpus. race-N rows run materialize "
-                "vs pipeline in two processes, first result wins, with "
-                "per-query winner attribution. mixed-read-write replays one "
-                "deterministic schedule under both invalidation policies; "
+                "identified by metadata.host.cpus. mixed-read-write replays one "
+                "deterministic schedule of hot reads and mostly-disjoint writes; "
                 "wal-fsync reports the per-write durability cost alongside"
             ),
         },

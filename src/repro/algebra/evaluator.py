@@ -37,11 +37,7 @@ from repro.graph.model import PropertyGraph
 from repro.paths.pathset import PathSet
 from repro.semantics.restrictors import recursive_closure
 
-__all__ = ["EvaluationStatistics", "Evaluator", "evaluate", "evaluate_to_paths"]
-
-#: Historical name of the materializing evaluator's statistics; the counters
-#: are now shared with the physical pipeline (see :mod:`repro.execution`).
-EvaluationStatistics = ExecutionStatistics
+__all__ = ["Evaluator", "evaluate", "evaluate_to_paths"]
 
 
 class Evaluator:
@@ -61,7 +57,7 @@ class Evaluator:
             default_max_length: Optional bound applied to ϕWalk nodes that do
                 not carry their own ``max_length``; keeps exploratory queries
                 from tripping the non-termination guard.
-            budget: Optional cooperative cancellation token.  Checked at every
+            budget: Optional cooperative :class:`QueryBudget`.  Checked at every
                 operator boundary (and inside the closure / join loops), so an
                 exhausted budget raises :class:`~repro.errors.BudgetExceeded`
                 mid-evaluation instead of materializing to completion.

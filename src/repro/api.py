@@ -46,7 +46,6 @@ from typing import Any, Mapping
 
 from repro.engine.engine import CachedPlan, ExplainResult, PathQueryEngine, QueryResult
 from repro.engine.executor import EXECUTOR_NAMES
-from repro.engine.router import EXECUTION_MODES
 from repro.engine.results import ResultCursor
 from repro.errors import ServiceError
 from repro.execution import QueryBudget
@@ -55,7 +54,7 @@ from repro.graph.model import PropertyGraph
 from repro.graph.snapshot import GraphSnapshot
 from repro.graph.wal import DurableStore
 from repro.service.cache import StripedLRUCache
-from repro.service.service import QueryService
+from repro.service.service import EXECUTION_MODES, QueryService
 
 __all__ = ["connect", "Database", "Session", "PreparedQuery"]
 
@@ -92,9 +91,8 @@ def connect(
         workers: Default worker count of the lazily created concurrent
             service (:meth:`Database.service`).
         execution_mode: Default execution backend of that service —
-            ``"threads"`` (GIL-bound worker threads), ``"processes"``
-            (forked worker processes, true multi-core parallelism) or
-            ``"race"`` (processes racing both executors per ``auto`` query).
+            ``"threads"`` (GIL-bound worker threads) or ``"processes"``
+            (forked worker processes, true multi-core parallelism).
     """
     return Database(
         graph,
@@ -331,7 +329,7 @@ class Database:
         values given to :func:`connect`; the remaining ``options`` are
         forwarded to :class:`~repro.service.QueryService`
         (``result_cache_size``, ``default_deadline``, ``max_pending``,
-        ``race_band``, ``pool_options``, ...).
+        ``pool_options``, ...).
         """
         self._ensure_open()
         if self._service is None:

@@ -1,7 +1,7 @@
 """Record-and-replay: captured query streams as differential regression gates.
 
 The serving layer now has enough moving parts — executor selection, result
-caching, delta invalidation, thread/process/racing pools, a network
+caching, delta invalidation, thread/process pools, a network
 front-end — that "same answers, acceptable speed" needs checking as a
 *workload* property, not just per-query.  This module captures a query
 stream once and replays it byte-exactly against any number of
@@ -17,8 +17,7 @@ configurations:
   joins, shortest-path probes and forum-membership scans — deterministic
   for a given seed, so CI replays the same workload forever.
 * **Replay** (:func:`replay_trace`) runs a trace against one
-  :class:`ReplayConfig` (execution mode, worker count, invalidation
-  strategy) through a fresh :class:`~repro.service.QueryService` over a
+  :class:`ReplayConfig` (execution mode, worker count) through a fresh :class:`~repro.service.QueryService` over a
   shared graph, hashing every result's canonical rendering
   (:meth:`~repro.service.QueryOutcome.rendered`, SHA-256).
 * **Differential check** (:func:`diff_outcomes` / :func:`run_replay`):
@@ -353,9 +352,8 @@ class ReplayConfig:
 
     Attributes:
         name: Label used in reports and diffs.
-        execution_mode: ``"threads"``, ``"processes"`` or ``"race"``.
+        execution_mode: ``"threads"`` or ``"processes"``.
         workers: Worker count for the service.
-        invalidation: Result-cache invalidation strategy.
         result_cache_size: Forwarded to :class:`~repro.service.QueryService`.
         honor_pacing: Sleep out the recorded inter-arrival gaps (open-loop
             replay) instead of submitting as fast as possible (closed-loop).
@@ -369,7 +367,6 @@ class ReplayConfig:
     name: str
     execution_mode: str = "threads"
     workers: int = 2
-    invalidation: str = "delta"
     result_cache_size: int = 256
     honor_pacing: bool = False
     result_transform: Callable[[str, TraceEvent], str] | None = None
@@ -420,7 +417,6 @@ class ReplayResult:
             "config": self.config.name,
             "execution_mode": self.config.execution_mode,
             "workers": self.config.workers,
-            "invalidation": self.config.invalidation,
             "events": len(self.events),
             "failures": self.failures,
             "wall_seconds": round(self.wall_seconds, 6),
@@ -456,7 +452,6 @@ def replay_trace(
         graph,
         workers=config.workers,
         execution_mode=config.execution_mode,
-        invalidation=config.invalidation,
         result_cache_size=config.result_cache_size,
         **config.service_options,
     )

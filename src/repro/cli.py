@@ -42,6 +42,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path as FilePath
 
 from repro.api import Database, connect
@@ -57,12 +58,12 @@ from repro.datasets.figure1 import figure1_graph
 from repro.datasets.generators import chain_graph, cycle_graph, grid_graph, random_graph
 from repro.datasets.ldbc import LDBCParameters, ldbc_like_graph
 from repro.engine.executor import EXECUTOR_NAMES
-from repro.engine.router import EXECUTION_MODES
 from repro.errors import BudgetExceeded, PathAlgebraError
 from repro.graph.io import load_csv, load_json, save_json
 from repro.graph.model import PropertyGraph
 from repro.graph.stats import compute_statistics
 from repro.graph.wal import FSYNC_POLICIES, DurableStore, read_wal
+from repro.service.service import EXECUTION_MODES
 
 __all__ = ["main", "build_parser"]
 
@@ -152,9 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--execution-mode",
         choices=list(EXECUTION_MODES),
         default="threads",
-        help="where queries execute: worker threads (GIL-bound; default), "
-        "forked worker processes (true multi-core parallelism), or processes "
-        "racing both executors per query, first result wins",
+        help="where queries execute: worker threads (GIL-bound; default) or "
+        "forked worker processes (true multi-core parallelism)",
     )
     serve.add_argument("--max-length", type=int, default=None, help="bound for WALK recursion")
     serve.add_argument(
@@ -296,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--config",
         action="append",
         default=None,
-        metavar="NAME=MODE:WORKERS[:INVALIDATION]",
+        metavar="NAME=MODE:WORKERS",
         help="a configuration to replay under, repeatable (e.g. "
-        "threads=threads:2, procs=processes:2:version); the first is the "
+        "threads=threads:2, procs=processes:2); the first is the "
         "baseline every other config is diffed against "
         "(default: threads=threads:2 and serial=threads:0)",
     )
@@ -683,31 +683,13 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 
 def _parse_replay_config(spec: str) -> ReplayConfig:
-    """Parse ``NAME=MODE:WORKERS[:INVALIDATION]`` into a :class:`ReplayConfig`."""
+    """Parse ``NAME=MODE:WORKERS`` into a :class:`ReplayConfig`."""
+    form = f"NAME=MODE:WORKERS with MODE one of {', '.join(EXECUTION_MODES)}"
     name, separator, rest = spec.partition("=")
-    if not separator or not name or not rest:
-        raise SystemExit(
-            f"error: --config expects NAME=MODE:WORKERS[:INVALIDATION], got {spec!r}"
-        )
-    pieces = rest.split(":")
-    if len(pieces) not in (2, 3):
-        raise SystemExit(
-            f"error: --config expects NAME=MODE:WORKERS[:INVALIDATION], got {spec!r}"
-        )
-    mode = pieces[0]
-    if mode not in EXECUTION_MODES:
-        raise SystemExit(
-            f"error: unknown execution mode {mode!r}; expected one of "
-            f"{', '.join(EXECUTION_MODES)}"
-        )
-    try:
-        workers = int(pieces[1])
-    except ValueError:
-        raise SystemExit(f"error: --config worker count must be an integer in {spec!r}") from None
-    invalidation = pieces[2] if len(pieces) == 3 else "delta"
-    return ReplayConfig(
-        name=name, execution_mode=mode, workers=workers, invalidation=invalidation
-    )
+    mode, _, workers = rest.partition(":")
+    if not name or not separator or mode not in EXECUTION_MODES or not workers.isdecimal():
+        raise SystemExit(f"error: --config expects {form}, got {spec!r}")
+    return ReplayConfig(name=name, execution_mode=mode, workers=int(workers))
 
 
 def _command_replay(args: argparse.Namespace) -> int:
@@ -772,16 +754,7 @@ def _command_replay(args: argparse.Namespace) -> int:
     if len({config.name for config in configs}) != len(configs):
         raise SystemExit("error: --config names must be unique")
     if args.honor_pacing:
-        configs = [
-            ReplayConfig(
-                name=config.name,
-                execution_mode=config.execution_mode,
-                workers=config.workers,
-                invalidation=config.invalidation,
-                honor_pacing=True,
-            )
-            for config in configs
-        ]
+        configs = [replace(config, honor_pacing=True) for config in configs]
     if args.graph:
         path = FilePath(args.graph)
         graph = load_json(path) if path.suffix == ".json" else load_csv(path)
@@ -791,7 +764,7 @@ def _command_replay(args: argparse.Namespace) -> int:
     for entry in report["entries"]:
         print(
             f"# {entry['config']:12s} {entry['execution_mode']}:{entry['workers']}"
-            f" ({entry['invalidation']})  {entry['throughput_qps']:8.1f} q/s"
+            f"  {entry['throughput_qps']:8.1f} q/s"
             f"  p50 {entry['latency_p50_ms']:7.2f} ms"
             f"  p95 {entry['latency_p95_ms']:7.2f} ms"
             f"  p99 {entry['latency_p99_ms']:7.2f} ms"

@@ -15,16 +15,9 @@ from repro.engine.executor import (
     MaterializeExecutor,
     PipelineExecutor,
     choose_executor,
-    choose_executor_with_fraction,
     resolve_executor,
 )
-from repro.engine.router import EXECUTION_MODES, PortfolioRouter, RouteDecision
-from repro.engine.physical import (
-    PhysicalPlan,
-    PipelineStatistics,
-    build_pipeline,
-    execute_pipeline,
-)
+from repro.engine.physical import PhysicalPlan, build_pipeline, execute_pipeline
 from repro.engine.results import BindingTable, PathBinding, ResultCursor, bind_paths
 from repro.execution import ExecutionStatistics
 
@@ -42,13 +35,8 @@ __all__ = [
     "MaterializeExecutor",
     "PipelineExecutor",
     "choose_executor",
-    "choose_executor_with_fraction",
     "resolve_executor",
-    "EXECUTION_MODES",
-    "PortfolioRouter",
-    "RouteDecision",
     "PhysicalPlan",
-    "PipelineStatistics",
     "build_pipeline",
     "execute_pipeline",
     "BindingTable",

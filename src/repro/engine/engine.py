@@ -14,8 +14,8 @@ Execution is routed through the pluggable executor layer
 (:mod:`repro.engine.executor`): the ``executor`` knob selects the
 materializing evaluator, the pull-based pipeline, or ``"auto"`` cost-based
 selection between them.  Parsed-and-optimized plans are memoized in an LRU
-:class:`PlanCache` keyed on the query text, the planning options and the
-graph's mutation counter, so hot queries skip parse/plan/optimize entirely.
+:class:`PlanCache` keyed on the query text and the planning options, so hot
+queries skip parse/plan/optimize entirely at every graph version.
 """
 
 from __future__ import annotations
@@ -54,12 +54,6 @@ from repro.rpq.compile import CompileOptions, compile_regex
 from repro.semantics.restrictors import Restrictor
 
 __all__ = ["QueryResult", "ExplainResult", "PlanCache", "CachedPlan", "PathQueryEngine"]
-
-#: Cache-invalidation policies: ``"delta"`` keys plans by text/options only
-#: and revalidates version-sensitive memos against a
-#: :class:`~repro.graph.delta.GraphDelta`; ``"version"`` is the legacy
-#: whole-version keying (any mutation misses every entry).
-INVALIDATION_MODES = ("delta", "version")
 
 #: The execution phases reported in :attr:`QueryResult.phase_seconds`.
 PHASES = ("parse", "plan", "optimize", "execute")
@@ -149,13 +143,12 @@ class CachedPlan:
     applied_rules: list[str]
     #: Memoized ``"auto"`` choice: a pure function of the optimized plan and
     #: the graph version.  Parameter bindings never change the plan *shape*,
-    #: so one choice serves every binding of a prepared query.  Under
-    #: ``"version"`` invalidation the version is part of the cache key; under
-    #: ``"delta"`` invalidation the choice is revalidated against the graph
+    #: so one choice serves every binding of a prepared query.  The cache key
+    #: carries no version, so the choice is revalidated against the graph
     #: delta since ``auto_version`` (the cost model only shifts when the data
     #: the plan touches changes).
     auto_executor: str | None = None
-    #: Graph version :attr:`auto_executor` was chosen at (delta mode only).
+    #: Graph version :attr:`auto_executor` was chosen at.
     auto_version: int | None = None
     #: Lazily computed static footprint of the optimized plan, shared by the
     #: auto-executor revalidation and by anything keying caches on what the
@@ -180,14 +173,10 @@ class PlanCache:
     """A bounded LRU cache of :class:`CachedPlan` entries.
 
     Keys are opaque tuples built by the engine from the query text and the
-    planning options.  Under the default ``"delta"`` invalidation policy the
-    key is version-free — parse/plan/optimize is a pure function of text and
-    options, so one entry serves every graph version, and the one
-    version-sensitive memo (the ``auto`` executor choice) is revalidated
-    against the graph delta on access.  Under the legacy ``"version"`` policy
-    the key additionally carries the graph's mutation counter
-    (:attr:`~repro.graph.model.PropertyGraph.version`), so any mutation
-    misses every entry.
+    planning options.  They are version-free — parse/plan/optimize is a pure
+    function of text and options, so one entry serves every graph version,
+    and the one version-sensitive memo (the ``auto`` executor choice) is
+    revalidated against the graph delta on access.
 
     A single instance is *not* thread-safe; concurrent workers share plans
     through the lock-striped :class:`~repro.service.StripedLRUCache`, which
@@ -252,7 +241,6 @@ class PathQueryEngine:
         executor: str = "auto",
         plan_cache_size: int = 128,
         plan_cache: "PlanCache | None" = None,
-        invalidation: str = "delta",
     ) -> None:
         """Create an engine.
 
@@ -274,23 +262,12 @@ class PathQueryEngine:
                 one lock-striped cache across its worker engines.  Anything
                 with the :class:`PlanCache` surface works;
                 ``plan_cache_size`` is ignored when this is given.
-            invalidation: ``"delta"`` (default) keys cached plans by text and
-                options only — sound because planning never reads the graph —
-                and revalidates the memoized ``auto`` executor choice against
-                the graph delta; ``"version"`` restores the legacy behavior
-                where any mutation misses every plan-cache entry.
         """
         if executor not in EXECUTOR_NAMES:
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of {', '.join(EXECUTOR_NAMES)}"
             )
-        if invalidation not in INVALIDATION_MODES:
-            raise ValueError(
-                f"unknown invalidation {invalidation!r}; expected one of "
-                f"{', '.join(INVALIDATION_MODES)}"
-            )
         self.graph = graph
-        self.invalidation = invalidation
         self.optimize_plans = optimize
         self.default_max_length = default_max_length
         self.default_executor = executor
@@ -325,10 +302,9 @@ class PathQueryEngine:
                 :class:`~repro.graph.snapshot.GraphSnapshot` of it, pinning
                 the query to one version while other threads keep mutating
                 (an unrelated graph is rejected: plan-cache keys and cost
-                models are version-keyed within one graph lineage).  The
-                plan-cache key uses the override's version, so snapshot
-                queries hit the same entries as live queries at the same
-                version.
+                models are version-keyed within one graph lineage).  Plan-cache
+                keys carry no version, so snapshot queries hit the same
+                entries as live queries.
             budget: Optional :class:`~repro.execution.QueryBudget` enforced
                 cooperatively throughout execution (deadline, visited-path
                 and result-size caps).  An exhausted budget raises
@@ -347,7 +323,7 @@ class PathQueryEngine:
         started = time.perf_counter()
         target = self._target_graph(graph)
         phase_seconds = dict.fromkeys(PHASES, 0.0)
-        cached, cache_hit = self._cached_gql(text, max_length, target, budget, phase_seconds)
+        cached, cache_hit = self._cached_gql(text, max_length, budget, phase_seconds)
         return self._finish(
             cached, executor, limit, cache_hit, started, phase_seconds, target, budget, params
         )
@@ -385,10 +361,8 @@ class PathQueryEngine:
         :attr:`~CachedPlan.parameters` lists the ``$name`` placeholders the
         caller must bind.
         """
-        target = self._target_graph(graph)
-        cached, _ = self._cached_gql(
-            text, max_length, target, None, dict.fromkeys(PHASES, 0.0)
-        )
+        self._target_graph(graph)  # rejects a foreign graph= override
+        cached, _ = self._cached_gql(text, max_length, None, dict.fromkeys(PHASES, 0.0))
         return cached
 
     def open_cursor(
@@ -416,11 +390,11 @@ class PathQueryEngine:
         started = time.perf_counter()
         target = self._target_graph(graph)
         phase_seconds = dict.fromkeys(PHASES, 0.0)
-        cached, cache_hit = self._cached_gql(text, max_length, target, budget, phase_seconds)
+        cached, cache_hit = self._cached_gql(text, max_length, budget, phase_seconds)
         plan_to_run = self._bound_plan(cached, params)
         if budget is not None:
             budget.checkpoint("optimize")
-        name = self._executor_name(executor, cached, target)
+        name = self.executor_for(cached, executor, target)
         truncated: bool | None = None
         total_paths: int | None = None
         cursor_limit = limit
@@ -486,12 +460,11 @@ class PathQueryEngine:
         self,
         text: str,
         max_length: int | None,
-        target: PropertyGraph,
         budget: QueryBudget | None,
         phase_seconds: dict[str, float],
     ) -> tuple[CachedPlan, bool]:
         """Serve the parsed-and-optimized plan for ``text`` from the plan cache."""
-        key = ("gql", text, max_length, self.optimize_plans) + self._key_suffix(target)
+        key = ("gql", text, max_length, self.optimize_plans)
         cached = self.plan_cache.get(key)
         cache_hit = cached is not None
         if cached is None:
@@ -548,15 +521,12 @@ class PathQueryEngine:
         """Evaluate a bare regular path query under the given restrictor.
 
         Compiled-and-optimized regex plans go through the same plan cache as
-        GQL queries (keyed on the regex text, the compile options and the
-        graph version).
+        GQL queries (keyed on the regex text and the compile options).
         """
         started = time.perf_counter()
         target = self._target_graph(graph)
         phase_seconds = dict.fromkeys(PHASES, 0.0)
-        key = ("rpq", regex, restrictor, max_length, self.optimize_plans) + self._key_suffix(
-            target
-        )
+        key = ("rpq", regex, restrictor, max_length, self.optimize_plans)
         cached = self.plan_cache.get(key)
         cache_hit = cached is not None
         if cached is None:
@@ -571,26 +541,14 @@ class PathQueryEngine:
             cached, executor, limit, cache_hit, started, phase_seconds, target, budget
         ).paths
 
-    def _key_suffix(self, target: PropertyGraph) -> tuple:
-        """Version component of plan-cache keys (empty under delta invalidation).
-
-        Plans are a pure function of query text and planning options — the
-        graph is never consulted during parse/plan/optimize — so the delta
-        policy shares one entry across every version.  The legacy policy
-        keys on the version, reproducing miss-on-every-mutation behavior.
-        """
-        if self.invalidation == "delta":
-            return ()
-        return (target.version,)
-
     def _target_graph(self, graph: PropertyGraph | None) -> PropertyGraph:
         """Resolve a per-call ``graph`` override, rejecting foreign graphs.
 
-        The plan cache and the cost-model memo are keyed by *version* on the
-        assumption that all versions belong to one graph lineage; a snapshot
-        of the engine's graph (or the graph itself) satisfies that, an
-        unrelated graph whose mutation counter happens to coincide would
-        silently cross-contaminate them.
+        The cost-model memo and the memoized ``auto`` choice are keyed by
+        *version* on the assumption that all versions belong to one graph
+        lineage; a snapshot of the engine's graph (or the graph itself)
+        satisfies that, an unrelated graph whose mutation counter happens to
+        coincide would silently cross-contaminate them.
         """
         if graph is None:
             return self.graph
@@ -611,33 +569,6 @@ class PathQueryEngine:
         """Return the executor name the ``"auto"`` policy picks for ``plan``."""
         return choose_executor(plan, self.cost_model(graph))
 
-    def route(
-        self,
-        text: str,
-        max_length: int | None = None,
-        graph: PropertyGraph | None = None,
-        execution_mode: str = "processes",
-        executor: str | None = None,
-        race_band: float | None = None,
-    ) -> "RouteDecision":
-        """Prepare ``text`` and return the portfolio router's dispatch decision.
-
-        Convenience inspection hook for the serving layer and its tests:
-        one call answers "would this query run a single executor or a race,
-        and why?" without executing anything.  The plan lands in the plan
-        cache exactly as :meth:`prepare` leaves it.
-        """
-        from repro.engine.router import PortfolioRouter
-
-        target = self._target_graph(graph)
-        cached = self.prepare(text, max_length=max_length, graph=target)
-        return PortfolioRouter(race_band=race_band).decide(
-            cached.optimized,
-            self.cost_model(target),
-            execution_mode=execution_mode,
-            requested=executor if executor is not None else self.default_executor,
-        )
-
     def cost_model(self, graph: PropertyGraph | None = None) -> CostModel:
         """The cost model for ``graph`` (default: the engine's graph), memoized per version.
 
@@ -657,10 +588,18 @@ class PathQueryEngine:
             self._cost_models.move_to_end(version)
         return model
 
-    def _executor_name(
-        self, executor: str | None, cached: CachedPlan, graph: PropertyGraph | None = None
+    def executor_for(
+        self,
+        cached: CachedPlan,
+        executor: str | None = None,
+        graph: PropertyGraph | None = None,
     ) -> str:
-        """Resolve an executor knob to a concrete name, memoizing ``auto``."""
+        """Resolve an executor knob to a concrete name for ``cached``, memoizing ``auto``.
+
+        The one place ``"auto"`` becomes an executor: every execution entry
+        point of this engine calls it, and so does the process-mode dispatcher
+        of :class:`~repro.service.QueryService` before it ships a task.
+        """
         name = executor if executor is not None else self.default_executor
         if name not in EXECUTOR_NAMES:
             raise ValueError(
@@ -673,10 +612,10 @@ class PathQueryEngine:
         if cached.auto_executor is None:
             cached.auto_executor = self.select_executor(cached.optimized, graph)
             cached.auto_version = version
-        elif self.invalidation == "delta" and cached.auto_version != version:
-            # Under delta keying one CachedPlan serves many versions; the
-            # executor choice is a cost-model decision, so revalidate it when
-            # the data the plan touches changed.  A stale choice is a
+        elif cached.auto_version != version:
+            # One CachedPlan serves many versions; the executor choice is a
+            # cost-model decision, so revalidate it when the data the plan
+            # touches changed.  A stale choice is a
             # performance (never a correctness) matter, so the unlocked
             # read-modify-write here is a benign race — concurrent workers
             # converge on a valid recent choice.
@@ -698,7 +637,7 @@ class PathQueryEngine:
     def _resolve(
         self, executor: str | None, cached: CachedPlan, graph: PropertyGraph | None = None
     ) -> Executor:
-        return resolve_executor(self._executor_name(executor, cached, graph))
+        return resolve_executor(self.executor_for(cached, executor, graph))
 
     # ------------------------------------------------------------------
     # Shared pipeline tail
@@ -781,9 +720,7 @@ class PathQueryEngine:
         Shares the plan cache with :meth:`query`: explaining a query warms
         the cache for a subsequent execution and vice versa.
         """
-        cached, _ = self._cached_gql(
-            text, max_length, self.graph, None, dict.fromkeys(PHASES, 0.0)
-        )
+        cached, _ = self._cached_gql(text, max_length, None, dict.fromkeys(PHASES, 0.0))
         return self._explain_cached(cached)
 
     def explain_plan(self, plan: Expression) -> ExplainResult:
@@ -791,7 +728,7 @@ class PathQueryEngine:
         return self._explain_cached(self._optimize_into(plan, dict.fromkeys(PHASES, 0.0)))
 
     def _explain_cached(self, cached: CachedPlan) -> ExplainResult:
-        chosen = self._executor_name(None, cached)
+        chosen = self.executor_for(cached)
         return ExplainResult(
             plan=cached.plan,
             optimized_plan=cached.optimized,

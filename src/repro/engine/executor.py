@@ -49,7 +49,6 @@ __all__ = [
     "MaterializeExecutor",
     "PipelineExecutor",
     "choose_executor",
-    "choose_executor_with_fraction",
     "resolve_executor",
 ]
 
@@ -221,35 +220,21 @@ def choose_executor(plan: Expression, cost_model: CostModel) -> str:
     from early termination under a ``limit``.  Recursion-heavy plans go to
     the materializing evaluator: the fix point is blocking either way, and
     materializing avoids the pipeline's per-path iterator overhead.
-    """
-    return choose_executor_with_fraction(plan, cost_model)[0]
-
-
-def choose_executor_with_fraction(
-    plan: Expression, cost_model: CostModel
-) -> tuple[str, float]:
-    """Like :func:`choose_executor`, also returning the recursive cost fraction.
-
-    The fraction is the decision's input signal; the portfolio router
-    (:mod:`repro.engine.router`) uses it to judge how *confident* the choice
-    is — fractions near :data:`RECURSIVE_COST_THRESHOLD` are coin flips worth
-    racing, fractions near 0 or 1 are not.
 
     Plans dominated by ``ϕShortest`` fix points that the product-automaton
     executor supports natively route there first: the streaming level-BFS on
     the product graph beats both the blocking Dijkstra closure and the
-    pipeline for that mode.  Selection for every other plan is unchanged.
+    pipeline for that mode.
     """
-    fraction = cost_model.recursive_cost_fraction(plan)
     if cost_model.shortest_cost_fraction(plan) > SHORTEST_COST_THRESHOLD:
         # Imported lazily: the automaton package builds on this module.
         from repro.engine.automaton.decompile import plan_supported
 
         if plan_supported(plan):
-            return AUTOMATON_EXECUTOR_NAME, fraction
-    if fraction > RECURSIVE_COST_THRESHOLD:
-        return MaterializeExecutor.name, fraction
-    return PipelineExecutor.name, fraction
+            return AUTOMATON_EXECUTOR_NAME
+    if cost_model.recursive_cost_fraction(plan) > RECURSIVE_COST_THRESHOLD:
+        return MaterializeExecutor.name
+    return PipelineExecutor.name
 
 
 def resolve_executor(name: str) -> Executor:

@@ -57,16 +57,10 @@ from repro.semantics.restrictors import iter_recursive_closure
 
 __all__ = [
     "PhysicalPlan",
-    "PipelineStatistics",
     "access_paths",
     "build_pipeline",
     "execute_pipeline",
 ]
-
-
-#: Historical name of the pipeline's statistics; the counters are now shared
-#: with the materializing evaluator (see :mod:`repro.execution`).
-PipelineStatistics = ExecutionStatistics
 
 
 class _PhysicalOperator:
@@ -81,7 +75,7 @@ class _PhysicalOperator:
     def __init__(
         self,
         name: str,
-        statistics: PipelineStatistics,
+        statistics: ExecutionStatistics,
         budget: QueryBudget | None = None,
     ) -> None:
         self.name = name
@@ -111,7 +105,7 @@ class _NodesScanOp(_PhysicalOperator):
     def __init__(
         self,
         graph: PropertyGraph,
-        statistics: PipelineStatistics,
+        statistics: ExecutionStatistics,
         budget: QueryBudget | None = None,
     ) -> None:
         super().__init__("Nodes(G)", statistics, budget)
@@ -128,7 +122,7 @@ class _EdgesScanOp(_PhysicalOperator):
     def __init__(
         self,
         graph: PropertyGraph,
-        statistics: PipelineStatistics,
+        statistics: ExecutionStatistics,
         budget: QueryBudget | None = None,
         label: str | None = None,
     ) -> None:
@@ -150,7 +144,7 @@ class _FilterOp(_PhysicalOperator):
         name: str,
         condition: Condition | None,
         child: _PhysicalOperator,
-        statistics: PipelineStatistics,
+        statistics: ExecutionStatistics,
         budget: QueryBudget | None = None,
     ) -> None:
         super().__init__(name, statistics, budget)
@@ -171,7 +165,7 @@ class _HashJoinOp(_PhysicalOperator):
         self,
         left: _PhysicalOperator,
         right: _PhysicalOperator,
-        statistics: PipelineStatistics,
+        statistics: ExecutionStatistics,
         budget: QueryBudget | None = None,
     ) -> None:
         super().__init__("⋈", statistics, budget)
@@ -209,7 +203,7 @@ class _ExpandOp(_PhysicalOperator):
         label: str,
         condition: Condition | None,
         graph: PropertyGraph,
-        statistics: PipelineStatistics,
+        statistics: ExecutionStatistics,
         budget: QueryBudget | None = None,
     ) -> None:
         statistics.register_operator("Edges(G)")
@@ -248,7 +242,7 @@ class _UnionOp(_PhysicalOperator):
         self,
         left: _PhysicalOperator,
         right: _PhysicalOperator,
-        statistics: PipelineStatistics,
+        statistics: ExecutionStatistics,
         budget: QueryBudget | None = None,
     ) -> None:
         super().__init__("∪", statistics, budget)
@@ -269,7 +263,7 @@ class _IntersectionOp(_PhysicalOperator):
         self,
         left: _PhysicalOperator,
         right: _PhysicalOperator,
-        statistics: PipelineStatistics,
+        statistics: ExecutionStatistics,
         budget: QueryBudget | None = None,
     ) -> None:
         super().__init__("∩", statistics, budget)
@@ -290,7 +284,7 @@ class _DifferenceOp(_PhysicalOperator):
         self,
         left: _PhysicalOperator,
         right: _PhysicalOperator,
-        statistics: PipelineStatistics,
+        statistics: ExecutionStatistics,
         budget: QueryBudget | None = None,
     ) -> None:
         super().__init__("∖", statistics, budget)
@@ -325,7 +319,7 @@ class _RecursiveOp(_PhysicalOperator):
         self,
         expression: Recursive,
         child: _PhysicalOperator,
-        statistics: PipelineStatistics,
+        statistics: ExecutionStatistics,
         default_max_length: int | None,
         budget: QueryBudget | None = None,
         seed: Condition | None = None,
@@ -366,7 +360,7 @@ class _SolutionSpaceOp(_PhysicalOperator):
         self,
         child: _PhysicalOperator,
         pipeline: list[Expression],
-        statistics: PipelineStatistics,
+        statistics: ExecutionStatistics,
         budget: QueryBudget | None = None,
     ) -> None:
         super().__init__(pipeline[-1].operator_name(), statistics, budget)
@@ -410,7 +404,7 @@ class PhysicalPlan:
     """A compiled physical pipeline ready for execution."""
 
     root: _PhysicalOperator
-    statistics: PipelineStatistics
+    statistics: ExecutionStatistics
     logical_plan: Expression
 
     def execute(self) -> PathSet:
@@ -444,7 +438,7 @@ def build_pipeline(
     A :class:`QueryBudget` is shared by every operator of the pipeline; each
     path crossing any operator boundary is charged against it.
     """
-    statistics = PipelineStatistics()
+    statistics = ExecutionStatistics()
     root = _build(plan, graph, statistics, default_max_length, budget)
     return PhysicalPlan(root=root, statistics=statistics, logical_plan=plan)
 
@@ -461,7 +455,7 @@ def execute_pipeline(
 def _build(
     plan: Expression,
     graph: PropertyGraph,
-    statistics: PipelineStatistics,
+    statistics: ExecutionStatistics,
     default_max_length: int | None,
     budget: QueryBudget | None = None,
 ) -> _PhysicalOperator:

@@ -91,7 +91,7 @@ class ServiceOverloadedError(ServiceError):
 
 
 class BudgetExceeded(PathAlgebraError):
-    """A query exceeded its :class:`~repro.execution.QueryBudget` and was cancelled.
+    """A query exceeded its :class:`~repro.execution.QueryBudget` and was killed.
 
     Raised cooperatively from inside the execution stack (closure frontier
     loops, physical operators, baselines) at the next budget checkpoint after
@@ -101,8 +101,7 @@ class BudgetExceeded(PathAlgebraError):
 
     Attributes:
         reason: Which budget dimension was exhausted — ``"deadline"``,
-            ``"max_visited"``, ``"max_results"`` or ``"cancelled"`` (an
-            external kill switch, e.g. the loser of a portfolio race).
+            ``"max_visited"`` or ``"max_results"``.
         paths_visited: Paths constructed/visited before the kill.
         depth_reached: Deepest fix-point round (or traversal depth) reached.
         stopped_at: Name of the operator or loop that observed the kill.

@@ -1,22 +1,20 @@
 """Unified execution statistics and query budgets shared by every executor.
 
-Historically the materializing :class:`~repro.algebra.evaluator.Evaluator`
-collected ``EvaluationStatistics`` (operator call counts and output
-cardinalities) while the pull-based pipeline in
-:mod:`repro.engine.physical` collected ``PipelineStatistics`` (paths crossing
-each operator boundary).  Both code paths now record into the single
-:class:`ExecutionStatistics` defined here — the two historical names are kept
-as aliases — so :class:`~repro.engine.engine.QueryResult` carries one
-statistics type regardless of which executor ran the plan.
+The materializing :class:`~repro.algebra.evaluator.Evaluator` (operator call
+counts and output cardinalities) and the pull-based pipeline in
+:mod:`repro.engine.physical` (paths crossing each operator boundary) both
+record into the single :class:`ExecutionStatistics` defined here, so
+:class:`~repro.engine.engine.QueryResult` carries one statistics type
+regardless of which executor ran the plan.
 
-The module also defines :class:`QueryBudget`, the cooperative cancellation
-token threaded through the whole execution stack: the engine facade, both
-executors, the physical operators' recursion loops, the closure frontier
-loops and the traversal/automaton baselines all accept an optional budget and
-check it at frontier-expansion boundaries (plus an amortized clock check
-every :attr:`QueryBudget.check_interval` visited paths), so a deadline or a
-resource cap kills an in-flight query within one check interval instead of
-never.  Exhausted budgets raise :class:`~repro.errors.BudgetExceeded`.
+The module also defines :class:`QueryBudget`, the cooperative deadline and
+resource-cap token threaded through the whole execution stack: the engine
+facade, both executors, the physical operators' recursion loops, the closure
+frontier loops and the traversal/automaton baselines all accept an optional
+budget and check it at frontier-expansion boundaries (plus an amortized clock
+check every :attr:`QueryBudget.check_interval` visited paths), so a deadline
+or a resource cap kills an in-flight query within one check interval instead
+of never.  Exhausted budgets raise :class:`~repro.errors.BudgetExceeded`.
 
 The module is deliberately dependency-free (standard library plus
 :mod:`repro.errors`, itself standard-library only): it is imported by both
@@ -33,15 +31,13 @@ from typing import TYPE_CHECKING
 from repro.errors import BudgetExceeded
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (keeps the module leaf-level)
-    from typing import Callable
-
     from repro.graph.delta import QueryFootprint
 
 __all__ = ["ExecutionStatistics", "QueryBudget"]
 
 
 class QueryBudget:
-    """A cooperative cancellation token plus resource caps for one query.
+    """A cooperative deadline plus resource caps for one query.
 
     The budget is *checked*, never *enforced preemptively*: every loop that
     can run for a long time (closure fix points, DFS/BFS traversals, the
@@ -69,12 +65,6 @@ class QueryBudget:
             checked after any ``limit`` truncation (``None`` — unlimited).
         check_interval: How many visited paths may pass between two clock
             reads.  Caps are enforced to within one :meth:`charge` batch.
-        cancel: Optional zero-argument callable polled wherever the deadline
-            is — :meth:`checkpoint` and the amortized clock branch of
-            :meth:`charge`.  Returning ``True`` kills the query with reason
-            ``"cancelled"``; the process pool's race mode uses this to stop
-            the losing executor from the parent process via a shared-memory
-            flag.
     """
 
     #: How many paths/pops a hot loop may process between two budget calls.
@@ -88,7 +78,6 @@ class QueryBudget:
         "max_visited",
         "max_results",
         "check_interval",
-        "cancel",
         "paths_visited",
         "depth_reached",
         "stopped_at",
@@ -101,7 +90,6 @@ class QueryBudget:
         max_visited: int | None = None,
         max_results: int | None = None,
         check_interval: int = 1024,
-        cancel: "Callable[[], bool] | None" = None,
     ) -> None:
         if max_visited is not None and max_visited < 0:
             raise ValueError(f"max_visited must be >= 0, got {max_visited}")
@@ -113,12 +101,6 @@ class QueryBudget:
         self.max_visited = max_visited
         self.max_results = max_results
         self.check_interval = check_interval
-        #: External kill switch, polled at the same amortized boundaries as
-        #: the deadline.  Returning ``True`` raises ``BudgetExceeded`` with
-        #: reason ``"cancelled"`` — how the process pool's race mode stops a
-        #: losing executor from another process (the callable typically reads
-        #: a shared-memory flag, so it must be cheap and must never raise).
-        self.cancel = cancel
         #: Partial-progress counters, readable after a kill (they are also
         #: copied into :class:`ExecutionStatistics` on successful completion).
         self.paths_visited = 0
@@ -149,7 +131,6 @@ class QueryBudget:
             self.deadline is None
             and self.max_visited is None
             and self.max_results is None
-            and self.cancel is None
         )
 
     def remaining_seconds(self) -> float | None:
@@ -180,8 +161,6 @@ class QueryBudget:
             self._uncounted = 0
             if self.deadline is not None and time.monotonic() >= self.deadline:
                 self._exceed("deadline", where)
-            if self.cancel is not None and self.cancel():
-                self._exceed("cancelled", where)
 
     def checkpoint(self, where: str = "", depth: int | None = None) -> None:
         """Frontier-expansion boundary: always consult the clock.
@@ -193,8 +172,6 @@ class QueryBudget:
             self.depth_reached = depth
         if self.deadline is not None and time.monotonic() >= self.deadline:
             self._exceed("deadline", where)
-        if self.cancel is not None and self.cancel():
-            self._exceed("cancelled", where)
 
     def note_depth(self, depth: int) -> None:
         """Record reaching ``depth`` without a clock check (hot-loop safe)."""
@@ -318,11 +295,6 @@ class ExecutionStatistics:
         self.operator_calls[operator] = self.operator_calls.get(operator, 0) + 1
 
     # -- derived views ---------------------------------------------------
-    @property
-    def rows_produced(self) -> dict[str, int]:
-        """Pipeline-era alias: paths produced per operator."""
-        return self.operator_output_sizes
-
     def total_calls(self) -> int:
         """Total number of operator evaluations (or instantiations, for the pipeline)."""
         return sum(self.operator_calls.values())

@@ -19,7 +19,7 @@ Queries take one of two routes, chosen by the client's ``stream`` flag:
 
 * default — :meth:`QueryService.try_submit` with the connection's pinned
   snapshot: the query gets the service's result cache, budgets and worker
-  pool (threads, processes or portfolio racing), and the whole result comes
+  pool (threads or processes), and the whole result comes
   back as one page.  ``try_submit`` is the admission-control entry point:
   a full submission queue is a typed 429-shaped rejection, never a blocked
   event loop.

@@ -6,8 +6,7 @@ queries concurrently" and "Process-parallel execution"):
 * :class:`QueryService` — thread-safe query service with snapshot isolation,
   a bounded submission queue, per-query deadlines and worker threads; its
   ``execution_mode`` knob swaps the GIL-bound thread workers for a
-  process-backed pool (``"processes"``) or a portfolio-racing pool
-  (``"race"``);
+  process-backed pool (``"processes"``);
 * :class:`ProcessWorkerPool` — forked worker processes executing queries
   truly in parallel against copy-on-write graph snapshots;
 * :class:`StripedLRUCache` — the lock-striped LRU shared by the workers for

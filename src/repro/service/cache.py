@@ -9,7 +9,7 @@ surface of :class:`PlanCache`, so a :class:`~repro.engine.engine.PathQueryEngine
 accepts either interchangeably, and the same structure caches both plans and
 materialized query outcomes in :class:`~repro.service.service.QueryService`.
 
-Process-mode caveat: under ``execution_mode="processes"`` / ``"race"`` the
+Process-mode caveat: under ``execution_mode="processes"`` the
 striped caches are **parent-only**.  A forked worker inherits a copy of this
 object whose stripe locks may have been *held by some other parent thread*
 at the fork instant — acquiring one in the child would deadlock forever, so

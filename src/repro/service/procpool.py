@@ -32,15 +32,13 @@ processes:
   worker dies, its claimed-but-unanswered task is requeued once (another
   worker retries it) and on a second death resolved as a typed
   :class:`WorkerDied` outcome; a replacement worker is forked either way.
-* **Race dispatch with cross-process cancellation.** :meth:`execute` can
-  race materialize vs pipeline in two workers (the portfolio policy of
-  :class:`~repro.engine.router.PortfolioRouter`): first complete result
-  wins, and the loser is cancelled through the ``cancel`` hook of its
-  :class:`~repro.execution.QueryBudget` — the parent writes the losing
-  task's seq into the worker's shared-memory cancel slot, and the worker's
-  budget checkpoints observe it within one check interval.  Task seqs are
-  unique for the pool's lifetime, so a stale slot value can never kill a
-  later query.
+* **Concrete executors only.** Every task names the executor the parent
+  already chose (:meth:`~repro.engine.engine.PathQueryEngine.executor_for`);
+  the dispatcher refuses ``"auto"``.  A worker engine therefore never
+  revalidates a memoized ``auto`` choice, so it never calls
+  ``delta_between`` and never takes the graph lock it inherited through
+  ``fork`` (whose owner may be a parent thread that does not exist in the
+  child).
 
 A note on clocks: task deadlines are *absolute* ``time.monotonic()`` values
 stamped in the parent.  ``CLOCK_MONOTONIC`` (and its macOS / Windows
@@ -67,6 +65,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.engine.engine import PathQueryEngine
+from repro.engine.executor import EXECUTOR_NAMES
 from repro.errors import BudgetExceeded, ServiceError
 from repro.execution import QueryBudget
 from repro.graph.compact import CompactGraph
@@ -87,6 +86,9 @@ _CRASH_EXIT_CODE = 13
 
 #: Reader-queue sentinel that stops the parent's reply-reader thread.
 _STOP = ("stop",)
+
+#: The executor names a task may carry: everything but ``"auto"``.
+_CONCRETE_EXECUTORS = tuple(name for name in EXECUTOR_NAMES if name != "auto")
 
 
 @dataclass(frozen=True)
@@ -128,8 +130,6 @@ class RemoteOutcome:
     worker: str = ""
     pid: int | None = None
     worker_died: WorkerDied | None = None
-    raced: bool = False
-    loser_cancelled: bool = False
 
 
 def encode_paths(paths) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -159,7 +159,6 @@ class _Task:
     version: int
     num_nodes: int
     num_edges: int
-    cancellable: bool = False
 
 
 class _Pending:
@@ -172,24 +171,21 @@ class _Pending:
         "worker_index",
         "claimed_pid",
         "requeues",
-        "on_resolve",
     )
 
-    def __init__(self, task_bytes: bytes, on_resolve=None) -> None:
+    def __init__(self, task_bytes: bytes) -> None:
         self.task_bytes = task_bytes
         self.event = threading.Event()
         self.reply: RemoteOutcome | None = None
         self.worker_index: int | None = None
         self.claimed_pid: int | None = None
         self.requeues = 0
-        self.on_resolve = on_resolve
 
 
 @dataclass
 class _Worker:
     index: int
     process: multiprocessing.process.BaseProcess
-    cancel_slot: object  # multiprocessing.Value('q')
     generation: int
     state: str = "alive"  # alive | retiring
     reaped: bool = False
@@ -203,23 +199,20 @@ class _Generation:
     workers: int = 0
 
 
-def _worker_main(index, graph, options, task_queue, result_queue, cancel_slot):
+def _worker_main(index, graph, options, task_queue, result_queue):
     """Worker-process entry point: dequeue, execute, reply — forever.
 
-    The worker builds a private engine over its (forked or unpickled) copy of
-    the graph.  It deliberately uses ``invalidation="version"`` so the query
-    path never calls ``delta_between`` — that method takes the graph's
-    threading lock, and a lock inherited through ``fork`` has undefined
-    ownership in the child.  Everything else on the hot path (snapshot reads,
-    the cost model, the executors) is lock-free.
+    The worker builds a private default engine over its (forked or unpickled)
+    copy of the graph.  Tasks always name a concrete executor, so the query
+    path (snapshot reads, parse/plan/optimize, the executors) is lock-free:
+    nothing in it reaches ``delta_between`` and the graph lock a ``fork``
+    copied in an undefined state.
     """
     engine = PathQueryEngine(
         graph,
         optimize=options["optimize"],
         default_max_length=options["default_max_length"],
-        executor="auto",
         plan_cache_size=options["plan_cache_size"],
-        invalidation="version",
     )
     # A pool over a hard-frozen graph ships the CompactGraph itself (flat
     # int arrays: true COW pages under fork, a cheap pickle under spawn).
@@ -245,15 +238,8 @@ def _worker_main(index, graph, options, task_queue, result_queue, cancel_slot):
             else:
                 snapshot = GraphSnapshot(graph, task.version, task.num_nodes, task.num_edges)
             budget = None
-            if task.deadline is not None or task.max_visited is not None or task.cancellable:
-                seq = task.seq
-                budget = QueryBudget(
-                    deadline=task.deadline,
-                    max_visited=task.max_visited,
-                    cancel=(
-                        (lambda s=seq: cancel_slot.value == s) if task.cancellable else None
-                    ),
-                )
+            if task.deadline is not None or task.max_visited is not None:
+                budget = QueryBudget(deadline=task.deadline, max_visited=task.max_visited)
             result = engine.query(
                 task.text,
                 max_length=task.max_length,
@@ -366,7 +352,6 @@ class ProcessWorkerPool:
         self._spawn_lock = threading.Lock()
         self._result_queue = self._ctx.SimpleQueue()
         self._pending: dict[int, _Pending] = {}
-        self._cancelled: set[int] = set()
         self._workers: dict[int, _Worker] = {}
         self._generations: list[_Generation] = []
         self._current: _Generation | None = None
@@ -378,9 +363,6 @@ class ProcessWorkerPool:
         self._reforks = 0
         self._deaths = 0
         self._requeued = 0
-        self._races = 0
-        self._race_wins: dict[str, int] = {}
-        self._losers_cancelled = 0
         self._spawn_generation()
         self._reforks = 0  # the initial fork is not a re-fork
         self._reader = threading.Thread(
@@ -463,7 +445,6 @@ class ProcessWorkerPool:
         with self._lock:
             index = self._next_worker
             self._next_worker += 1
-        cancel_slot = self._ctx.Value("q", -1)
         process = self._ctx.Process(
             target=_worker_main,
             args=(
@@ -472,18 +453,12 @@ class ProcessWorkerPool:
                 self._options,
                 generation.queue,
                 self._result_queue,
-                cancel_slot,
             ),
             name=f"repro-pool-worker-{index}",
             daemon=True,
         )
         process.start()
-        worker = _Worker(
-            index=index,
-            process=process,
-            cancel_slot=cancel_slot,
-            generation=generation.index,
-        )
+        worker = _Worker(index=index, process=process, generation=generation.index)
         with self._lock:
             self._workers[index] = worker
             generation.workers += 1
@@ -521,12 +496,6 @@ class ProcessWorkerPool:
                     if pending is not None:
                         pending.worker_index = worker_index
                         pending.claimed_pid = pid
-                    if seq in self._cancelled:
-                        # Cancelled before the claim arrived: deliver the
-                        # kill now that we know which slot to write.
-                        worker = self._workers.get(worker_index)
-                        if worker is not None:
-                            worker.cancel_slot.value = seq
                 continue
             _, seq, payload = message
             reply = RemoteOutcome(kind=kind, **payload)
@@ -535,13 +504,10 @@ class ProcessWorkerPool:
     def _resolve(self, seq: int, reply: RemoteOutcome) -> None:
         with self._lock:
             pending = self._pending.pop(seq, None)
-            self._cancelled.discard(seq)
         if pending is None:
-            return  # cancelled race loser whose reply nobody waits for
+            return  # the dispatcher already gave up on it (see _await)
         pending.reply = reply
         pending.event.set()
-        if pending.on_resolve is not None:
-            pending.on_resolve()
 
     # ------------------------------------------------------------------
     # Death watch
@@ -580,8 +546,7 @@ class ProcessWorkerPool:
         self._deaths += 1
         reason = f"worker process exited with code {exitcode}"
         for seq, pending in claimed:
-            cancelled = seq in self._cancelled
-            if pending.requeues < self.max_requeues and not cancelled:
+            if pending.requeues < self.max_requeues:
                 with self._lock:
                     pending.requeues += 1
                     pending.worker_index = None
@@ -595,10 +560,9 @@ class ProcessWorkerPool:
                         kind="worker-died",
                         worker_died=WorkerDied(
                             reason=reason,
-                            pid=worker.claimed_pid if cancelled else pending.claimed_pid,
-                        )
-                        if pending.requeues == 0
-                        else WorkerDied(reason=reason, pid=pending.claimed_pid, requeued=True),
+                            pid=pending.claimed_pid,
+                            requeued=pending.requeues > 0,
+                        ),
                         error=reason,
                         pid=worker.process.pid,
                     ),
@@ -618,85 +582,27 @@ class ProcessWorkerPool:
         text: str,
         params: dict | None,
         max_length: int | None,
-        executors: tuple[str, ...],
+        executor: str,
         limit: int | None,
         deadline: float | None,
         max_visited: int | None,
         version: int,
         num_nodes: int,
         num_edges: int,
-        race: bool = False,
     ) -> RemoteOutcome:
         """Run one query in the pool; blocks until its reply (or death) arrives.
 
-        With ``race=True`` every executor in ``executors`` runs concurrently
-        in its own worker: the first ``"ok"`` reply wins, the others are
-        cancelled through their shared-memory budget hooks.  Without it only
-        ``executors[0]`` runs.
+        ``executor`` must be a concrete executor name: resolving ``"auto"``
+        is the parent engine's job, and a worker must never do it (see the
+        module docstring).
         """
         if self._closed:
             raise ServiceError("process pool is closed")
-        if not race or len(executors) < 2:
-            pending, seq = self._dispatch(
-                text, params, max_length, executors[0], limit, deadline,
-                max_visited, version, num_nodes, num_edges, cancellable=False,
+        if executor not in _CONCRETE_EXECUTORS:
+            raise ServiceError(
+                f"process pool tasks need a concrete executor, got {executor!r}; "
+                "resolve 'auto' in the parent first"
             )
-            return self._await(pending, seq, deadline)
-        any_done = threading.Event()
-        entries = [
-            self._dispatch(
-                text, params, max_length, executor, limit, deadline,
-                max_visited, version, num_nodes, num_edges,
-                cancellable=True, on_resolve=any_done.set,
-            )
-            for executor in executors
-        ]
-        with self._lock:
-            self._races += 1
-        winner: RemoteOutcome | None = None
-        losers: list[RemoteOutcome] = []
-        remaining = {seq: pending for pending, seq in entries}
-        while remaining and winner is None:
-            if not self._wait_any(any_done, deadline):
-                break
-            any_done.clear()
-            for seq in list(remaining):
-                reply = remaining[seq].reply
-                if reply is None:
-                    continue
-                del remaining[seq]
-                if reply.kind == "ok" and winner is None:
-                    winner = reply
-                else:
-                    losers.append(reply)
-        if winner is not None:
-            cancelled = bool(remaining)
-            for seq in remaining:
-                self._cancel(seq)
-            winner.raced = True
-            winner.loser_cancelled = cancelled
-            with self._lock:
-                self._race_wins[winner.executor] = (
-                    self._race_wins.get(winner.executor, 0) + 1
-                )
-                if cancelled:
-                    self._losers_cancelled += 1
-            return winner
-        # No branch produced a result: wait the stragglers out (they carry
-        # the same deadline, so this converges), then report the best loss.
-        for seq, pending in remaining.items():
-            reply = self._await(pending, seq, deadline)
-            losers.append(reply)
-        priority = {"budget": 0, "error": 1, "worker-died": 2}
-        best = min(losers, key=lambda reply: priority.get(reply.kind, 3))
-        best.raced = True
-        return best
-
-    def _dispatch(
-        self,
-        text, params, max_length, executor, limit, deadline, max_visited,
-        version, num_nodes, num_edges, *, cancellable, on_resolve=None,
-    ) -> tuple[_Pending, int]:
         with self._lock:
             seq = self._next_seq
             self._next_seq += 1
@@ -706,16 +612,16 @@ class ProcessWorkerPool:
             seq=seq, text=text, params=params, max_length=max_length,
             executor=executor, limit=limit, deadline=deadline,
             max_visited=max_visited, version=version, num_nodes=num_nodes,
-            num_edges=num_edges, cancellable=cancellable,
+            num_edges=num_edges,
         )
         # Pickle here, in the dispatcher, so an unpicklable parameter raises
         # into this request's error path instead of wedging a queue.
         task_bytes = pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
-        pending = _Pending(task_bytes, on_resolve=on_resolve)
+        pending = _Pending(task_bytes)
         with self._lock:
             self._pending[seq] = pending
         current.queue.put(task_bytes)
-        return pending, seq
+        return self._await(pending, seq, deadline)
 
     def _await(self, pending: _Pending, seq: int, deadline: float | None) -> RemoteOutcome:
         """Block on one pending reply; synthesize an outcome if the pool dies."""
@@ -730,33 +636,15 @@ class ProcessWorkerPool:
                 )
             if deadline is not None and time.monotonic() >= deadline + 1.0:
                 # Safety net for the unclaimed-task window: the worker-side
-                # budget should have killed this long ago.
+                # budget should have killed this long ago.  A late reply finds
+                # no pending entry and is dropped.
                 with self._lock:
                     self._pending.pop(seq, None)
-                self._cancel(seq)
                 return RemoteOutcome(
                     kind="budget", budget_reason="deadline", stopped_at="pool",
                 )
         assert pending.reply is not None
         return pending.reply
-
-    def _wait_any(self, any_done: threading.Event, deadline: float | None) -> bool:
-        while not any_done.wait(timeout=0.1):
-            if self._closed:
-                return False
-            if deadline is not None and time.monotonic() >= deadline + 1.0:
-                return False
-        return True
-
-    def _cancel(self, seq: int) -> None:
-        """Cancel a dispatched task: pre-claim tombstone or post-claim slot write."""
-        with self._lock:
-            self._cancelled.add(seq)
-            pending = self._pending.get(seq)
-            if pending is not None and pending.worker_index is not None:
-                worker = self._workers.get(pending.worker_index)
-                if worker is not None:
-                    worker.cancel_slot.value = seq
 
     # ------------------------------------------------------------------
     # Introspection and lifecycle
@@ -777,9 +665,6 @@ class ProcessWorkerPool:
                 "reforks": self._reforks,
                 "worker_deaths": self._deaths,
                 "requeued": self._requeued,
-                "races": self._races,
-                "race_wins": dict(self._race_wins),
-                "losers_cancelled": self._losers_cancelled,
             }
 
     def close(self, deadline: float = 5.0) -> None:
@@ -822,8 +707,6 @@ class ProcessWorkerPool:
                 error="pool shut down mid-query",
             )
             pending.event.set()
-            if pending.on_resolve is not None:
-                pending.on_resolve()
 
     def __enter__(self) -> "ProcessWorkerPool":
         return self

@@ -18,20 +18,22 @@ serving workloads where queries and graph mutations interleave:
   and :meth:`run_batch` is the synchronous convenience wrapper.
 * **Shared caches** — all workers share one lock-striped
   :class:`~repro.service.cache.StripedLRUCache` of parsed-and-optimized plans
-  (keyed on query text, options *and* graph version, so a plan is never
-  served across a version bump) and one striped *result cache* of
-  materialized outcomes keyed the same way.  On repeat-heavy ("cache-hot")
-  read-only workloads the result cache collapses duplicate requests into one
-  evaluation per graph version.
+  (keyed on query text and planning options: planning never reads the graph,
+  so one plan serves every version) and one striped *result cache* of
+  materialized outcomes keyed on text, bindings and options.  A result entry
+  remembers the version it was computed at and the executed plan's
+  footprint, and serves a request at another version only when the
+  :class:`~repro.graph.delta.GraphDelta` between the two is disjoint from
+  that footprint — a write costs only the entries it can affect.
 
 A note on parallelism: CPython's GIL serializes the pure-Python evaluation
 work, so the default *thread* worker pool provides isolation and overlap
 (queries keep draining while a producer thread mutates or blocks), not CPU
 parallelism — its throughput wins on cache-hot workloads
-(``BENCH_service.json``) come from version-keyed result reuse.  For real
-multi-core evaluation, ``execution_mode="processes"`` (or ``"race"``) backs
-the dispatchers with a :class:`~repro.service.procpool.ProcessWorkerPool`
-of forked worker processes; see that module and PERFORMANCE.md.
+(``BENCH_service.json``) come from result reuse.  For real multi-core
+evaluation, ``execution_mode="processes"`` backs the dispatchers with a
+:class:`~repro.service.procpool.ProcessWorkerPool` of forked worker
+processes; see that module and PERFORMANCE.md.
 
 A note on clocks: every timestamp in this module — enqueue stamps, absolute
 deadlines, elapsed measurements — comes from ``time.monotonic()``.  Deadline
@@ -48,9 +50,8 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
-from repro.engine.engine import INVALIDATION_MODES, PathQueryEngine
+from repro.engine.engine import PathQueryEngine
 from repro.engine.executor import EXECUTOR_NAMES
-from repro.engine.router import EXECUTION_MODES, PortfolioRouter, RouteDecision
 from repro.errors import BudgetExceeded, ServiceError, ServiceOverloadedError
 from repro.execution import QueryBudget
 from repro.graph.compact import AutoCompactPolicy
@@ -68,6 +69,10 @@ from repro.service.procpool import (
 )
 
 __all__ = ["QueryOutcome", "QueryTicket", "ServiceStatistics", "QueryService"]
+
+#: The values accepted by every ``execution_mode=`` knob: thread workers
+#: (GIL-bound, the default) or process workers (one executor per query).
+EXECUTION_MODES = ("threads", "processes")
 
 #: Queue sentinel that tells a worker thread to exit.
 _SHUTDOWN = object()
@@ -126,13 +131,7 @@ class QueryOutcome:
         queued_seconds: Time the request spent waiting in the submission
             queue before a worker picked it up.
         worker: Name of the worker that served the request (a worker
-            *process* name like ``proc-3`` under the process-backed modes).
-        route: How the request was dispatched under a process-backed
-            execution mode: ``"single"`` (one executor, chosen by the cost
-            model or forced by the caller) or ``"race"`` (both executors ran
-            in separate processes and this outcome is the winner — its
-            ``executor`` field is the per-query winner attribution).  Empty
-            in thread mode and on cache hits.
+            *process* name like ``proc-3`` in process mode).
         worker_died: Typed attribution when the worker process executing the
             query died and the task could not be salvaged by a requeue
             (``None`` otherwise).  Such outcomes also carry ``error``.
@@ -154,7 +153,6 @@ class QueryOutcome:
     elapsed_seconds: float = 0.0
     queued_seconds: float = 0.0
     worker: str = ""
-    route: str = ""
     worker_died: WorkerDied | None = None
 
     @property
@@ -215,11 +213,11 @@ class QueryTicket:
 class _CachedResult:
     """A result-cache entry: the outcome plus the footprint that validates it.
 
-    Under delta invalidation the cache key carries no version; the entry
-    remembers the version the outcome was computed at (inside the outcome)
-    and the executed plan's footprint, and a lookup at a different version
-    serves the entry only when the graph delta between the two versions is
-    disjoint from the footprint.
+    The cache key carries no version; the entry remembers the version the
+    outcome was computed at (inside the outcome) and the executed plan's
+    footprint, and a lookup at a different version serves the entry only
+    when the graph delta between the two versions is disjoint from the
+    footprint.
     """
 
     outcome: QueryOutcome
@@ -259,24 +257,21 @@ class ServiceStatistics:
     proven still valid at another — reuse whole-version invalidation would
     have thrown away) and ``result_cache_delta_rejected`` (entries found but
     discarded because the delta intersected their footprint, or the delta
-    window had expired).  Both stay zero under ``invalidation="version"``.
-    The per-cache dicts carry a ``per_stripe`` breakdown from
-    :meth:`~repro.service.cache.StripedLRUCache.stats`.
+    window had expired).  The per-cache dicts carry a ``per_stripe``
+    breakdown from :meth:`~repro.service.cache.StripedLRUCache.stats`.
 
     Process-backed execution adds its own attribution: ``worker_died``
     counts queries lost to a worker-process death (deliberately *not* folded
     into ``failed`` or ``timed_out`` — a dead worker is a serving-infrastructure
     fault, not a query fault), ``requeued`` counts tasks salvaged onto
-    another worker after a death, ``reforks`` counts version-drift worker
-    regenerations, and ``races`` / ``race_wins`` attribute portfolio racing
-    (wins keyed by executor name).  ``pool`` carries the raw
+    another worker after a death, and ``reforks`` counts version-drift worker
+    regenerations.  ``pool`` carries the raw
     :meth:`~repro.service.procpool.ProcessWorkerPool.statistics` dict.  All
     stay zero / empty in thread mode.
     """
 
     backend: str = "thread"
     workers: int = 0
-    invalidation: str = "delta"
     execution_mode: str = "threads"
     submitted: int = 0
     rejected: int = 0
@@ -294,8 +289,6 @@ class ServiceStatistics:
     worker_died: int = 0
     requeued: int = 0
     reforks: int = 0
-    races: int = 0
-    race_wins: dict[str, int] = field(default_factory=dict)
     plan_cache: dict[str, Any] = field(default_factory=dict)
     result_cache: dict[str, Any] = field(default_factory=dict)
     pool: dict[str, Any] = field(default_factory=dict)
@@ -349,7 +342,6 @@ class ServiceStatistics:
         return ServiceStatistics(
             backend=tag(self.backend, other.backend),
             workers=self.workers + other.workers,
-            invalidation=tag(self.invalidation, other.invalidation),
             execution_mode=tag(self.execution_mode, other.execution_mode),
             submitted=self.submitted + other.submitted,
             rejected=self.rejected + other.rejected,
@@ -371,8 +363,6 @@ class ServiceStatistics:
             worker_died=self.worker_died + other.worker_died,
             requeued=self.requeued + other.requeued,
             reforks=self.reforks + other.reforks,
-            races=self.races + other.races,
-            race_wins=merge_dicts(self.race_wins, other.race_wins),
             plan_cache=merge_dicts(self.plan_cache, other.plan_cache),
             result_cache=merge_dicts(self.result_cache, other.result_cache),
             pool=merge_dicts(self.pool, other.pool),
@@ -414,34 +404,18 @@ class QueryService:
             (``None`` — unlimited); per-call ``max_visited`` overrides it.
         max_pending: Bound of the submission queue; :meth:`submit` blocks
             once this many requests are waiting (back-pressure).
-        invalidation: Cache maintenance policy shared by the plan and result
-            caches.  ``"delta"`` (default) keys entries without the graph
-            version and serves an entry across versions when the
-            :class:`~repro.graph.delta.GraphDelta` between them is disjoint
-            from the entry's recorded query footprint — a write only costs
-            the cache entries it can actually affect.  ``"version"`` restores
-            the legacy whole-version keying where every write misses every
-            entry (kept for comparison benchmarks and for exact hit/miss
-            accounting).
         execution_mode: Where query evaluation happens.  ``"threads"``
-            (default) keeps the legacy in-process worker threads —
-            GIL-bound, isolation without CPU parallelism.  ``"processes"``
-            backs the same dispatcher threads with a
+            (default) keeps the in-process worker threads — GIL-bound,
+            isolation without CPU parallelism.  ``"processes"`` backs the
+            same dispatcher threads with a
             :class:`~repro.service.procpool.ProcessWorkerPool`: each query
-            runs in a forked worker process with a cost-model-guided single
-            executor, so evaluation runs truly in parallel on a multi-core
-            host.  ``"race"`` additionally races materialize vs pipeline —
-            plus the product automaton on natively-supported SHORTEST
-            plans — in separate processes for ``auto`` queries, keeps the
-            first result and cancels the losers through their budgets.  The shared plan and
-            result caches stay in the parent in every mode: dispatchers warm
-            the plan cache via ``prepare`` and install worker results into
-            the result cache, so delta/footprint invalidation semantics are
-            identical across modes.  Process modes require ``workers >= 1``.
-        race_band: Only race when the cost model's recursive-cost fraction
-            falls within this half-width of the decision threshold (the
-            cost model's "coin flip" zone); ``None`` races every ``auto``
-            query.  Ignored outside ``"race"`` mode.
+            runs in a forked worker process with the executor the parent's
+            engine chose, so evaluation runs truly in parallel on a
+            multi-core host.  The shared plan and result caches stay in the
+            parent in both modes: dispatchers warm the plan cache via
+            ``prepare`` and install worker results into the result cache, so
+            delta/footprint invalidation behaves identically across modes.
+            Process mode requires ``workers >= 1``.
         pool_options: Advanced/testing knobs forwarded verbatim to
             :class:`~repro.service.procpool.ProcessWorkerPool`
             (``start_method``, ``max_requeues``, ``crash_hook``,
@@ -462,9 +436,7 @@ class QueryService:
         default_max_visited: int | None = None,
         max_pending: int = 1024,
         plan_cache: StripedLRUCache | None = None,
-        invalidation: str = "delta",
         execution_mode: str = "threads",
-        race_band: float | None = None,
         pool_options: dict[str, Any] | None = None,
         auto_compact: bool = True,
     ) -> None:
@@ -473,11 +445,6 @@ class QueryService:
         if executor not in EXECUTOR_NAMES:
             raise ServiceError(
                 f"unknown executor {executor!r}; expected one of {', '.join(EXECUTOR_NAMES)}"
-            )
-        if invalidation not in INVALIDATION_MODES:
-            raise ServiceError(
-                f"unknown invalidation {invalidation!r}; expected one of "
-                f"{', '.join(INVALIDATION_MODES)}"
             )
         if execution_mode not in EXECUTION_MODES:
             raise ServiceError(
@@ -497,7 +464,6 @@ class QueryService:
         # observations build the columnar core, any mutation thaws it.
         self.auto_compact = auto_compact
         self._compact_policy = AutoCompactPolicy()
-        self.invalidation = invalidation
         self.default_executor = executor
         self.default_deadline = default_deadline
         self.default_max_visited = default_max_visited
@@ -513,23 +479,18 @@ class QueryService:
                 default_max_length=default_max_length,
                 executor=executor,
                 plan_cache=self.plan_cache,
-                invalidation=invalidation,
             )
             for _ in range(max(workers, 1))
         ]
         self._pool: ProcessWorkerPool | None = None
-        self._router: PortfolioRouter | None = None
-        if execution_mode != "threads":
-            self._router = PortfolioRouter(race_band=race_band)
+        if execution_mode == "processes":
             options = dict(pool_options or {})
             options.setdefault("plan_cache_size", plan_cache_size)
-            # A race needs two processes; otherwise pool capacity == the
-            # dispatcher thread count, so every dispatcher can keep exactly
-            # one worker process busy.
-            pool_workers = max(workers, 2) if execution_mode == "race" else workers
+            # Pool capacity == the dispatcher thread count, so every
+            # dispatcher can keep exactly one worker process busy.
             self._pool = ProcessWorkerPool(
                 graph,
-                pool_workers,
+                workers,
                 optimize=optimize,
                 default_max_length=default_max_length,
                 **options,
@@ -789,9 +750,8 @@ class QueryService:
         # text, so the *result* key must carry the bindings (sorted, so dict
         # insertion order never splits or aliases entries).  Unhashable
         # binding values (params_tuple is None) bypass the result cache
-        # entirely rather than failing the request.  Under delta invalidation
-        # the key is version-free and the entry is revalidated against the
-        # graph delta; under the legacy policy the version is part of the key.
+        # entirely rather than failing the request.  The key is version-free;
+        # the entry is revalidated against the graph delta.
         key = (
             "outcome",
             request.text,
@@ -800,8 +760,6 @@ class QueryService:
             effective_executor,
             request.limit,
         )
-        if self.invalidation == "version":
-            key = key + (version,)
         entry = self.result_cache.get(key) if params_tuple is not None else None
         cached = self._validate_entry(entry, version) if entry is not None else None
         if cached is not None:
@@ -918,37 +876,28 @@ class QueryService:
 
         The split of work across the boundary is deliberate: the *parent*
         parses/optimizes (warming the shared plan cache for every future
-        request and for the router's cost inspection), routes, and installs
-        the result into the shared result cache; the *worker process* only
-        evaluates.  The worker re-parses against its private per-process plan
-        cache — plan objects never cross the pipe, result paths do (as id
-        tuples), and the cached entry's footprint comes from the parent's
-        plan, so PR 6's delta invalidation behaves identically to thread
-        mode.
+        request), resolves the executor through the same engine code thread
+        mode uses, and installs the result into the shared result cache; the
+        *worker process* only evaluates, always with a concrete executor.
+        The worker re-parses against its private per-process plan cache —
+        plan objects never cross the pipe, result paths do (as id tuples),
+        and the cached entry's footprint comes from the parent's plan, so
+        PR 6's delta invalidation behaves identically to thread mode.
         """
         params = params_tuple if params_tuple is not None else ()
-        requested = (
-            request.executor if request.executor is not None else self.default_executor
-        )
         try:
             if self._pool.crash_hook and request.text == CRASH_QUERY:
                 # Fault injection (tests only): the sentinel is not valid GQL,
                 # so skip parent-side parsing and ship it straight to a
                 # worker, which os._exit()s on it.
                 cached_plan = None
-                decision = RouteDecision(
-                    mode="single", executors=("pipeline",), reason="crash hook"
-                )
+                executor = "pipeline"
             else:
                 cached_plan = engine.prepare(
                     request.text, max_length=request.max_length, graph=request.snapshot
                 )
-                assert self._router is not None
-                decision = self._router.decide(
-                    cached_plan.optimized,
-                    engine.cost_model(request.snapshot),
-                    execution_mode=self.execution_mode,
-                    requested=requested,
+                executor = engine.executor_for(
+                    cached_plan, request.executor, request.snapshot
                 )
             # Workers forked before this request's version can't see its
             # data; drift forks a fresh generation (no-op on the read path).
@@ -957,16 +906,15 @@ class QueryService:
                 text=request.text,
                 params=request.params,
                 max_length=request.max_length,
-                executors=decision.executors,
+                executor=executor,
                 limit=request.limit,
                 deadline=request.deadline,
                 max_visited=request.max_visited,
                 version=version,
                 num_nodes=request.snapshot.num_nodes(),
                 num_edges=request.snapshot.num_edges(),
-                race=decision.racing,
             )
-        except Exception as error:  # parse/route/dispatch failure
+        except Exception as error:  # parse/plan/dispatch failure
             return QueryOutcome(
                 text=request.text,
                 version=version,
@@ -976,13 +924,11 @@ class QueryService:
                 elapsed_seconds=time.monotonic() - started,
                 queued_seconds=queued,
             )
-        route = "race" if reply.raced else "single"
         common = dict(
             text=request.text,
             version=version,
             params=params,
             worker=reply.worker or worker,
-            route=route,
             elapsed_seconds=time.monotonic() - started,
             queued_seconds=queued,
         )
@@ -1030,19 +976,16 @@ class QueryService:
     ) -> QueryOutcome | None:
         """Decide whether a result-cache entry may serve a request at ``version``.
 
-        Same version — always.  Different version — only under delta
-        invalidation, and only when the graph delta between the entry's
-        version and the request's version cannot intersect the entry's
-        footprint.  An expired delta window (``delta_between`` returning
-        ``None``) or a missing footprint degrades to rejection, i.e. the
-        legacy behavior.  Stale entries are *not* eagerly evicted: the
+        Same version — always.  Different version — only when the graph delta
+        between the entry's version and the request's version cannot
+        intersect the entry's footprint.  An expired delta window
+        (``delta_between`` returning ``None``) or a missing footprint degrades
+        to rejection.  Stale entries are *not* eagerly evicted: the
         recompute overwrites them in place (same key).
         """
         cached = entry.outcome
         if cached.version == version:
             return cached
-        if self.invalidation != "delta":  # pragma: no cover - version keys pin versions
-            return None
         low, high = sorted((cached.version, version))
         delta = self.graph.delta_between(low, high)
         if delta is not None and not delta.affects(entry.footprint):
@@ -1063,7 +1006,6 @@ class QueryService:
             return ServiceStatistics(
                 backend="process" if self._pool is not None else "thread",
                 workers=self.workers,
-                invalidation=self.invalidation,
                 execution_mode=self.execution_mode,
                 submitted=self._submitted,
                 rejected=self._rejected,
@@ -1081,8 +1023,6 @@ class QueryService:
                 worker_died=self._worker_died,
                 requeued=pool_stats.get("requeued", 0),
                 reforks=pool_stats.get("reforks", 0),
-                races=pool_stats.get("races", 0),
-                race_wins=pool_stats.get("race_wins", {}),
                 plan_cache=self.plan_cache.stats(),
                 result_cache=self.result_cache.stats(),
                 pool=pool_stats,

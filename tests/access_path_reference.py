@@ -37,9 +37,9 @@ from repro.algebra.expressions import (
 )
 from repro.engine import physical
 from repro.engine.executor import ExecutionResult, resolve_executor
-from repro.engine.physical import PhysicalPlan, PipelineStatistics, _PhysicalOperator
+from repro.engine.physical import PhysicalPlan, _PhysicalOperator
 from repro.errors import EvaluationError
-from repro.execution import QueryBudget
+from repro.execution import ExecutionStatistics, QueryBudget
 from repro.graph.compact import compact_core_of
 from repro.paths.join_index import JoinIndex
 from repro.paths.path import Path
@@ -174,7 +174,7 @@ def reference_build_pipeline(
     budget: QueryBudget | None = None,
 ) -> PhysicalPlan:
     """``build_pipeline`` as it was: full scans, filters, hash joins."""
-    statistics = PipelineStatistics()
+    statistics = ExecutionStatistics()
     root = _build(plan, graph, statistics, default_max_length, budget)
     return PhysicalPlan(root=root, statistics=statistics, logical_plan=plan)
 

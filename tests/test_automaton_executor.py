@@ -2,7 +2,7 @@
 
 Complements the three-way sweeps in ``test_differential.py`` with targeted
 coverage of the new subsystem itself: the plan → regex decompiler and shape
-classifier, cost-based and portfolio selection, fallback attribution, limit
+classifier, cost-based selection, fallback attribution, limit
 semantics, the frozen-graph int route, the fork boundary of the process pool,
 and — the acceptance-criterion test — a cursor proving SHORTEST rows stream
 out *before* the closure could possibly have completed.
@@ -23,7 +23,6 @@ from repro.engine.executor import (
     choose_executor,
     resolve_executor,
 )
-from repro.engine.router import PortfolioRouter
 from repro.errors import BudgetExceeded
 from repro.execution import QueryBudget
 from repro.gql.planner import plan_text
@@ -107,27 +106,6 @@ def test_engine_accepts_automaton_executor_name() -> None:
         "MATCH ALL TRAIL p = (?x)-[Knows+]->(?y)", executor="automaton"
     )
     assert result.statistics.executor == "automaton"
-
-
-def test_race_mode_adds_automaton_as_third_member() -> None:
-    graph = CORPUS[0]
-    cost_model = CostModel(graph)
-    router = PortfolioRouter(race_band=None)
-    # SHORTEST-heavy native plan: automaton leads, hedged by the classical pick.
-    decision = router.decide(_plan("(Knows|Likes)+", Restrictor.SHORTEST), cost_model, "race")
-    assert decision.racing and decision.executors[0] == "automaton"
-    assert len(decision.executors) == 2
-    # A plan with *some* ϕShortest work but a classical favorite races three.
-    engine = PathQueryEngine(graph)
-    crown = engine.explain(
-        "MATCH ALL SHORTEST p = (?x)-[Knows+]->(?y)", max_length=3
-    ).optimized_plan
-    decision = router.decide(crown, cost_model, "race")
-    assert decision.racing
-    assert "automaton" in decision.executors
-    # Explicit request still forces single dispatch.
-    decision = router.decide(crown, cost_model, "race", requested="automaton")
-    assert decision.executors == ("automaton",) and not decision.racing
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,14 @@ class TestServeCommand:
         code = main(["serve", "--batch-file", batch_file, "--deadline", "30"])
         assert code == 0
 
+    def test_serve_rejects_race_execution_mode(self, batch_file, capsys) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--batch-file", batch_file, "--execution-mode", "race"])
+        assert excinfo.value.code == 2  # argparse usage error, not a traceback
+        err = capsys.readouterr().err
+        assert "invalid choice: 'race'" in err
+        assert "'threads', 'processes'" in err
+
 
 class TestQueryCommand:
     def test_query_builtin_dataset(self, capsys) -> None:

@@ -217,14 +217,6 @@ class TestPlanCache:
         assert second.cache_hit
         assert second.executor == first.executor
 
-    def test_mutation_invalidates_cache_in_version_mode(self, figure1) -> None:
-        engine = PathQueryEngine(figure1, invalidation="version")
-        first = engine.query(self.TEXT)
-        figure1.add_node("n99", "Person")
-        second = engine.query(self.TEXT)
-        assert not second.cache_hit
-        assert second.paths == first.paths
-
     def test_mutation_reuses_plan_under_delta_invalidation(self, figure1) -> None:
         # Plans are pure functions of text + options, so the default delta
         # mode keeps serving the cached plan across version bumps — the
@@ -311,7 +303,6 @@ class TestUnifiedStatistics:
         assert stats.executor == "pipeline"
         assert stats.operators > 0
         assert stats.total_rows() == stats.intermediate_paths
-        assert stats.rows_produced is stats.operator_output_sizes
 
     def test_executor_instances_are_addressable(self, figure1) -> None:
         knows = Selection(label_of_edge(1, "Knows"), EdgesScan())

@@ -98,7 +98,7 @@ class TestStreaming:
         first_three = list(pipeline.stream(limit=3))
         assert len(first_three) == 3
         # Only three paths crossed the scan boundary — the scan did not run to completion.
-        assert pipeline.statistics.rows_produced["Edges(G)"] == 3
+        assert pipeline.statistics.operator_output_sizes["Edges(G)"] == 3
 
     def test_stream_without_limit_produces_everything(self, figure1) -> None:
         pipeline = build_pipeline(knows_scan(), figure1)
@@ -108,7 +108,7 @@ class TestStreaming:
         plan = Join(knows_scan(), knows_scan())
         pipeline = build_pipeline(plan, figure1)
         next(pipeline.stream(limit=1))
-        counters = pipeline.statistics.rows_produced
+        counters = pipeline.statistics.operator_output_sizes
         assert counters["⋈"] == 1
         # The probe side stops early; only the build side is fully consumed.
         assert counters[f"σ[{label_of_edge(1, 'Knows')}]"] <= 8
@@ -121,7 +121,7 @@ class TestStatisticsAndErrors:
         assert len(result) == 4
         stats = pipeline.statistics
         assert stats.operators == 5  # union + two selections + two scans
-        assert stats.rows_produced["∪"] == 4
+        assert stats.operator_output_sizes["∪"] == 4
         assert stats.total_rows() >= 4 + 8
 
     def test_solution_space_chain_collapsed_into_one_operator(self, figure1) -> None:

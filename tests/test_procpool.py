@@ -1,14 +1,15 @@
 """Correctness, fault-tolerance and isolation tests for process-backed serving.
 
-Covers the ``execution_mode="processes"`` / ``"race"`` backends of
+Covers the ``execution_mode="processes"`` backend of
 :class:`~repro.service.QueryService` and the
-:class:`~repro.service.procpool.ProcessWorkerPool` beneath them:
+:class:`~repro.service.procpool.ProcessWorkerPool` beneath it:
 
 * byte-identical parity with serial execution over the 50-graph differential
   corpus (the same corpus and random regexes as ``test_differential``);
-* portfolio racing: winner attribution, loser cancellation, parity;
-* cross-process budget enforcement and the ``cancel`` hook of
-  :class:`~repro.execution.QueryBudget`;
+* single dispatch: the parent engine resolves ``auto`` and ships only
+  concrete executors, so no worker ever touches the delta journal (the
+  post-fork guard);
+* cross-process budget enforcement;
 * crash containment: a dying worker requeues its claimed task once, a second
   death resolves it as a typed :class:`~repro.service.WorkerDied` outcome
   (attributed separately from timeouts and failures), and the pool refills
@@ -21,6 +22,8 @@ Covers the ``execution_mode="processes"`` / ``"race"`` backends of
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
 import time
 
@@ -29,15 +32,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from graph_corpus import closure_corpus
+from repro.api import connect
 from repro.datasets.figure1 import figure1_graph
 from repro.engine.engine import PathQueryEngine
-from repro.engine.executor import RECURSIVE_COST_THRESHOLD
-from repro.engine.router import EXECUTION_MODES, PortfolioRouter
-from repro.errors import BudgetExceeded, ServiceError
+from repro.errors import ServiceError
 from repro.execution import QueryBudget
 from repro.graph.model import PropertyGraph
-from repro.service import QueryService
+from repro.service import QueryService, procpool
 from repro.service.procpool import CRASH_QUERY, ProcessWorkerPool
+from repro.service.service import EXECUTION_MODES
 
 LABELS = ("Knows", "Likes")
 CORPUS: list[PropertyGraph] = closure_corpus(labels=LABELS)
@@ -101,81 +104,45 @@ def test_process_mode_is_byte_identical_to_serial(index: int) -> None:
         assert outcome.worker.startswith("proc-"), outcome.worker
 
 
-def test_race_mode_is_byte_identical_to_serial_on_figure1() -> None:
-    graph = figure1_graph()
-    expected = _serial_renderings(graph, list(QUERIES))
-    with QueryService(
-        graph, workers=2, execution_mode="race", result_cache_size=0
-    ) as service:
-        outcomes = service.run_batch(list(QUERIES), max_length=BOUND)
-        stats = service.statistics()
-    for text, outcome, want in zip(QUERIES, outcomes, expected):
-        assert outcome.ok, (text, outcome.error)
-        assert outcome.rendered() == want, text
-        assert outcome.route == "race"
-        assert outcome.executor in ("materialize", "pipeline")
-    assert stats.races == len(QUERIES)
-    assert sum(stats.race_wins.values()) == len(QUERIES)
-
-
 # ----------------------------------------------------------------------
-# Routing and statistics surface
+# Single dispatch and statistics surface
 # ----------------------------------------------------------------------
 class TestRouting:
     def test_router_single_dispatch_matches_auto_choice(self) -> None:
+        """Process mode ships exactly one task per query, with the executor
+        the engine's ``auto`` policy picks in thread mode."""
         graph = figure1_graph()
         engine = PathQueryEngine(graph)
-        for text in QUERIES:
-            cached = engine.prepare(text)
-            decision = PortfolioRouter().decide(
-                cached.optimized, engine.cost_model(), execution_mode="processes"
-            )
-            assert decision.mode == "single"
-            assert decision.executors == (engine.select_executor(cached.optimized),)
+        with QueryService(
+            graph, workers=2, execution_mode="processes", result_cache_size=0
+        ) as service:
+            outcomes = service.run_batch(list(QUERIES))
+            stats = service.statistics()
+        for text, outcome in zip(QUERIES, outcomes):
+            assert outcome.ok, (text, outcome.error)
+            assert outcome.executor == engine.select_executor(engine.prepare(text).optimized)
+        assert stats.pool["dispatched"] == len(QUERIES)
 
     def test_explicit_executor_is_never_raced(self) -> None:
         graph = figure1_graph()
-        engine = PathQueryEngine(graph)
-        cached = engine.prepare(QUERIES[3])
-        decision = PortfolioRouter().decide(
-            cached.optimized,
-            engine.cost_model(),
-            execution_mode="race",
-            requested="pipeline",
-        )
-        assert decision.mode == "single"
-        assert decision.executors == ("pipeline",)
-
-    def test_race_band_gates_racing_to_the_coin_flip_zone(self) -> None:
-        graph = figure1_graph()
-        engine = PathQueryEngine(graph)
-        cached = engine.prepare(QUERIES[0])  # non-recursive: fraction == 0.0
-        narrow = PortfolioRouter(race_band=0.01).decide(
-            cached.optimized, engine.cost_model(), execution_mode="race"
-        )
-        assert narrow.mode == "single"
-        wide = PortfolioRouter(race_band=RECURSIVE_COST_THRESHOLD).decide(
-            cached.optimized, engine.cost_model(), execution_mode="race"
-        )
-        assert wide.mode == "race"
-        assert len(wide.executors) == 2
-
-    def test_engine_route_convenience(self) -> None:
-        graph = figure1_graph()
-        engine = PathQueryEngine(graph)
-        decision = engine.route(QUERIES[3], execution_mode="race")
-        assert decision.racing
-        assert set(decision.executors) == {"materialize", "pipeline"}
+        with QueryService(
+            graph, workers=2, execution_mode="processes", executor="pipeline"
+        ) as service:
+            outcome = service.run_batch([QUERIES[3]])[0]
+            stats = service.statistics()
+        assert outcome.executor == "pipeline"
+        assert stats.pool["dispatched"] == 1
 
     def test_invalid_modes_rejected_everywhere(self) -> None:
         graph = figure1_graph()
-        with pytest.raises(ValueError):
-            PortfolioRouter().decide(None, None, execution_mode="fibers")
-        with pytest.raises(ServiceError):
-            QueryService(graph, workers=2, execution_mode="fibers")
+        for mode in ("fibers", "race"):
+            with pytest.raises(ServiceError):
+                QueryService(graph, workers=2, execution_mode=mode)
+            with pytest.raises(ValueError):
+                connect(graph, execution_mode=mode)
         with pytest.raises(ServiceError):
             QueryService(graph, workers=0, execution_mode="processes")
-        assert EXECUTION_MODES == ("threads", "processes", "race")
+        assert EXECUTION_MODES == ("threads", "processes")
 
     def test_statistics_identify_the_backend(self) -> None:
         graph = figure1_graph()
@@ -189,24 +156,13 @@ class TestRouting:
 
 
 # ----------------------------------------------------------------------
-# Budgets and cancellation across the boundary
+# Budgets across the boundary
 # ----------------------------------------------------------------------
 class TestBudgets:
-    def test_cancel_hook_kills_at_the_next_checkpoint(self) -> None:
-        """Unit test for the new ``cancel`` hook (no processes involved)."""
-        flip = {"on": False}
-        budget = QueryBudget(cancel=lambda: flip["on"])
-        budget.charge(10, "warm-up")  # cheap: hook polled at amortized boundaries
-        flip["on"] = True
-        with pytest.raises(BudgetExceeded) as excinfo:
-            budget.checkpoint("loop")
-        assert excinfo.value.reason == "cancelled"
-        assert excinfo.value.stopped_at == "loop"
-
     def test_budget_without_cancel_is_unchanged(self) -> None:
-        budget = QueryBudget()
-        assert budget.unlimited
-        assert QueryBudget(cancel=lambda: False).unlimited is False
+        assert QueryBudget().unlimited
+        with pytest.raises(TypeError):
+            QueryBudget(cancel=lambda: False)  # the race-era kill switch is gone
 
     def test_max_visited_kill_crosses_the_process_boundary(self) -> None:
         graph = CORPUS[0]
@@ -405,6 +361,84 @@ class TestSnapshotIsolationAcrossFork:
             assert outcome.rendered() == expected, (text, outcome.version)
 
 
+class TestPostForkGuard:
+    """Workers never revalidate an ``auto`` memo, so they never reach
+    ``delta_between`` and the graph lock a ``fork`` copied mid-flight."""
+
+    AUTO_QUERIES = QUERIES + ("MATCH ANY SHORTEST WALK p = (?x)-[Knows+]->(?y)",)
+
+    def test_workers_never_call_delta_between(self, monkeypatch) -> None:
+        parent = os.getpid()
+        original = PropertyGraph.delta_between
+
+        def guarded(self, since, until=None):
+            if os.getpid() != parent:
+                raise RuntimeError("delta_between called in a forked worker")
+            return original(self, since, until)
+
+        monkeypatch.setattr(PropertyGraph, "delta_between", guarded)
+        graph = figure1_graph()
+        log = _MutationLog(graph)
+        submitted = []
+        with QueryService(
+            graph, workers=2, execution_mode="processes", result_cache_size=0
+        ) as service:
+            if service._pool.start_method != "fork":
+                pytest.skip("the guard only propagates to forked workers")
+            pins = [graph.snapshot()]
+            for round_ in range(3):
+                for text in self.AUTO_QUERIES:
+                    submitted.append((text, service.submit(text, max_length=BOUND)))
+                    # Every older pin again: tasks below the fork version of a
+                    # newer generation, for texts whose worker-side plan is
+                    # already cached at another version.
+                    for pin in pins:
+                        submitted.append(
+                            (text, service.submit(text, max_length=BOUND, snapshot=pin))
+                        )
+                # Drain the round so the next one drifts past this generation's
+                # fork version and reforks.
+                for _, ticket in submitted:
+                    ticket.result(timeout=120)
+                log.add_node()
+                log.add_edge(round_, round_ + 3, round_)
+                pins.append(graph.snapshot())
+            outcomes = [(text, ticket.result()) for text, ticket in submitted]
+            stats = service.statistics()
+        assert stats.reforks == 2
+        for text, outcome in outcomes:
+            assert outcome.ok, (text, outcome.version, outcome.error)
+            expected = _serial_renderings(log.replay(outcome.version), [text])[0]
+            assert outcome.rendered() == expected, (text, outcome.version)
+
+    def test_dispatcher_never_pickles_an_auto_task(self, monkeypatch) -> None:
+        shipped: list[str] = []
+        dumps = pickle.dumps
+
+        def spy(obj, *args, **kwargs):
+            if isinstance(obj, procpool._Task):
+                shipped.append(obj.executor)
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(procpool.pickle, "dumps", spy)
+        graph = figure1_graph()
+        with QueryService(
+            graph, workers=1, execution_mode="processes", result_cache_size=0
+        ) as service:
+            outcomes = service.run_batch(list(self.AUTO_QUERIES), executor="auto")
+            with pytest.raises(ServiceError, match="concrete executor"):
+                service._pool.execute(
+                    text=QUERIES[0], params=None, max_length=None, executor="auto",
+                    limit=None, deadline=None, max_visited=None,
+                    version=graph.version, num_nodes=graph.num_nodes(),
+                    num_edges=graph.num_edges(),
+                )
+        assert all(outcome.ok for outcome in outcomes)
+        assert len(shipped) == len(self.AUTO_QUERIES)
+        assert "auto" not in shipped
+        assert set(shipped) <= {"materialize", "pipeline", "automaton"}
+
+
 # ----------------------------------------------------------------------
 # Pool lifecycle and statistics aggregation
 # ----------------------------------------------------------------------
@@ -423,7 +457,7 @@ class TestLifecycle:
                 text=QUERIES[0],
                 params=None,
                 max_length=None,
-                executors=("pipeline",),
+                executor="pipeline",
                 limit=None,
                 deadline=None,
                 max_visited=None,
@@ -466,7 +500,7 @@ class TestLifecycle:
         # merge() is symmetric on the counters.
         flipped = stats_b.merge(stats_a)
         assert flipped.submitted == merged.submitted
-        assert flipped.races == merged.races
+        assert flipped.requeued == merged.requeued
 
     def test_result_cache_serves_process_results(self) -> None:
         graph = figure1_graph()

@@ -411,3 +411,22 @@ class TestReplayCli:
                     "same=threads:0",
                 ]
             )
+
+    @pytest.mark.parametrize(
+        "spec", ["name=threads:2:version", "name=race:2", "name=threads", "=threads:2"]
+    )
+    def test_run_rejects_malformed_config_with_the_accepted_form(
+        self, spec, tmp_path, capsys
+    ) -> None:
+        from repro.cli import main
+
+        trace_path = str(tmp_path / "trace.jsonl")
+        main(["replay", "generate", "--output", trace_path, "--events", "2",
+              "--persons", "10", "--messages", "10"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["replay", "run", trace_path, "--config", spec])
+        message = str(excinfo.value.code)
+        assert message.startswith("error: --config expects NAME=MODE:WORKERS"), message
+        assert "threads, processes" in message
+        assert repr(spec) in message

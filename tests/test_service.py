@@ -106,18 +106,14 @@ class TestSnapshotIsolation:
         """Each result equals a serial evaluation at the version it was pinned to.
 
         The result cache is disabled so every submission reaches the engine,
-        which makes the plan-cache accounting at the end exact: the service
-        runs in legacy ``invalidation="version"`` mode, so with the version
-        inside the cache key, hits can never exceed ``lookups - distinct
-        keys`` — a single plan served across a version bump would break that
-        bound.
+        which makes the plan-cache accounting at the end exact: plan keys
+        carry no version, so one plan per distinct text serves every version
+        and hits can never exceed ``lookups - distinct texts``.
         """
         graph = figure1_graph()
         log = _MutationLog(graph)
         submitted: list[tuple[str, object]] = []
-        with QueryService(
-            graph, workers=2, result_cache_size=0, invalidation="version"
-        ) as service:
+        with QueryService(graph, workers=2, result_cache_size=0) as service:
             for step in schedule:
                 if step[0] == "query":
                     text = QUERIES[step[1]]
@@ -129,32 +125,28 @@ class TestSnapshotIsolation:
             outcomes = [(text, ticket.result()) for text, ticket in submitted]
             stats = service.statistics()
 
-        distinct_keys = set()
         for text, outcome in outcomes:
             assert outcome.ok, outcome
             replay = log.replay(outcome.version)
             assert outcome.path_strings() == _serial_result(replay, text)
-            distinct_keys.add((text, outcome.version))
 
         lookups = len(outcomes)
+        distinct_texts = {text for text, _ in outcomes}
         assert stats.plan_cache["hits"] + stats.plan_cache["misses"] == lookups
-        # Every distinct (text, version) key must miss at least once; two
-        # workers racing the same fresh key can both miss (benign), but a hit
-        # across a version bump would push hits beyond this bound.
-        assert stats.plan_cache["misses"] >= len(distinct_keys)
-        assert stats.plan_cache["hits"] <= lookups - len(distinct_keys)
+        # Every distinct text must miss at least once; two workers racing the
+        # same fresh text can both miss (benign), and at most once each.
+        assert len(distinct_texts) <= stats.plan_cache["misses"] <= 2 * len(distinct_texts)
+        assert stats.plan_cache["hits"] <= lookups - len(distinct_texts)
 
     def test_single_worker_plan_cache_accounting_is_exact(self) -> None:
-        """With one worker the miss-per-distinct-key accounting is an equality.
+        """With one worker the miss-per-distinct-text accounting is an equality.
 
-        Legacy ``invalidation="version"`` mode: version-stamped keys make the
-        arithmetic exact (delta mode deliberately reuses plans across bumps).
+        Plans are reused across version bumps, so each text misses exactly
+        once no matter how many mutations land between its submissions.
         """
         graph = figure1_graph()
         log = _MutationLog(graph)
-        with QueryService(
-            graph, workers=1, result_cache_size=0, invalidation="version"
-        ) as service:
+        with QueryService(graph, workers=1, result_cache_size=0) as service:
             tickets = []
             for round_index in range(3):
                 tickets.extend(service.submit(text) for text in QUERIES)
@@ -163,7 +155,8 @@ class TestSnapshotIsolation:
             outcomes = [ticket.result() for ticket in tickets]
             stats = service.statistics()
         assert all(outcome.ok for outcome in outcomes)
-        distinct = {(outcome.text, outcome.version) for outcome in outcomes}
+        assert len({outcome.version for outcome in outcomes}) == 3
+        distinct = {outcome.text for outcome in outcomes}
         assert stats.plan_cache["misses"] == len(distinct)
         assert stats.plan_cache["hits"] == len(outcomes) - len(distinct)
 
@@ -619,7 +612,6 @@ class TestDeltaAwareResultCache:
         assert served.rendered() == first.rendered()
         assert stats.result_cache_cross_version_hits == 1
         assert stats.result_cache_delta_rejected == 0
-        assert stats.invalidation == "delta"
 
     def test_affecting_mutation_recomputes(self) -> None:
         graph = figure1_graph()
@@ -664,24 +656,14 @@ class TestDeltaAwareResultCache:
         assert not repeat.result_cache_hit
         assert stats.result_cache_delta_rejected == 1
 
-    def test_version_mode_keeps_legacy_semantics(self) -> None:
-        graph = figure1_graph()
-        with QueryService(graph, workers=0, invalidation="version") as service:
-            first = service.submit(self.TEXT).result()
-            graph.add_edge("elikes", "n1", "n3", "Likes")
-            second = service.submit(self.TEXT).result()
-            stats = service.statistics()
-        assert not second.result_cache_hit  # any write evicts everything
-        assert second.rendered() == first.rendered()
-        assert stats.invalidation == "version"
-        assert stats.result_cache_cross_version_hits == 0
-        assert stats.result_cache_delta_rejected == 0
-
     def test_invalid_invalidation_mode_is_rejected(self) -> None:
-        with pytest.raises(ServiceError, match="invalidation"):
-            QueryService(figure1_graph(), workers=0, invalidation="sometimes")
-        with pytest.raises(ValueError, match="invalidation"):
-            PathQueryEngine(figure1_graph(), invalidation="sometimes")
+        # Delta is the only policy: the knob itself is gone, so every value
+        # (the legacy "version" included) is rejected.
+        for mode in ("sometimes", "version", "delta"):
+            with pytest.raises(TypeError, match="invalidation"):
+                QueryService(figure1_graph(), workers=0, invalidation=mode)
+            with pytest.raises(TypeError, match="invalidation"):
+                PathQueryEngine(figure1_graph(), invalidation=mode)
 
     def test_cross_version_hit_still_isolated_from_mutation(self) -> None:
         """A served cross-version outcome must not alias the cached PathSet."""
