@@ -19,8 +19,10 @@ incremental closure engine (:func:`~repro.semantics.restrictors.recursive_closur
 against the pre-incremental baseline
 (:func:`~repro.baselines.closure.recursive_closure_baseline`) and the
 product-graph automaton executor (:class:`~repro.engine.automaton.AutomatonExecutor`,
-on both the mutable graph and its frozen twin) on the restrictor-scaling
-workloads, giving future PRs a perf trajectory to compare against.
+on both the mutable graph and its frozen twin: its product search on SHORTEST
+rows, its materializing-evaluator fallback on the others) on the
+restrictor-scaling workloads, giving future PRs a perf trajectory to compare
+against.
 """
 
 from __future__ import annotations
@@ -166,8 +168,9 @@ def _closure_trajectory_entries() -> list[dict]:
             else:
                 graph = complete_graph(size)
                 max_length = size - 1
-            # The frozen twin routes every closure through the int-encoded
-            # columnar core; freeze() cost is measured separately and
+            # The frozen twin runs the same closure kernel and the same product
+            # search as the mutable graph (only the EDGES(G) scan reads the
+            # columnar core); freeze() cost is measured separately and
             # reported per row so the one-off conversion is never hidden
             # inside the closure timings.
             frozen = graph.copy()
@@ -185,8 +188,9 @@ def _closure_trajectory_entries() -> list[dict]:
                 # like a serving worker does — construction is engine-side,
                 # not loop overhead.
                 budget = QueryBudget.from_timeout(3600.0, max_visited=10**12)
-                # The automaton rows evaluate the *same* closure as a product
-                # search over graph × NFA(edge-label+); parity with the
+                # The automaton rows evaluate the *same* closure plan: a product
+                # search over graph × NFA(edge-label+) on SHORTEST rows, the
+                # evaluator fallback on the others; parity with the
                 # incremental result is asserted before any row is written.
                 plan = Recursive(EdgesScan(), restrictor, max_length)
                 automaton = AutomatonExecutor()
@@ -264,17 +268,17 @@ def closure_perf_trajectory(bench_json_path) -> None:
             "mode": "quick" if _quick_session else "full",
             "strategies": {
                 "incremental": "recursive_closure (indexed frontier, O(1) restrictor checks)",
-                "compact": "recursive_closure over a frozen CompactGraph "
-                "(int-encoded paths, bitmask visited states; "
-                "compact_speedup = incremental_s / compact_s, freeze_s = "
-                "one-off CompactGraph.from_graph cost)",
+                "compact": "recursive_closure over the base of a frozen twin "
+                "(the same kernel; compact_speedup = incremental_s / compact_s, "
+                "freeze_s = one-off CompactGraph.from_graph cost)",
                 "baseline": "recursive_closure_baseline (per-round re-index + full re-scans)",
                 "budgeted": "recursive_closure with a never-tripping QueryBudget "
                 "(budget_overhead = budgeted_s / incremental_s)",
-                "automaton": "AutomatonExecutor product-graph search of the same "
-                "closure plan (automaton_speedup = incremental_s / automaton_s; "
-                "automaton_compact_* measures the frozen-graph int route against "
-                "the compact closure)",
+                "automaton": "AutomatonExecutor on the same closure plan: its "
+                "product-graph search on SHORTEST rows, the materializing "
+                "evaluator fallback on the others (automaton_speedup = "
+                "incremental_s / automaton_s; automaton_compact_* is the same "
+                "on the frozen twin, against the compact closure)",
             },
         },
     )

@@ -1,33 +1,29 @@
 """Plan → regex decompiler and native-shape classifier.
 
-The automaton executor evaluates queries on the product of graph × NFA, which
-computes *word-level* semantics: a path qualifies iff its label word is in the
-regex language (optionally pruned by a restrictor predicate).  The algebra's
-``Recursive`` operator instead composes whole sub-paths, and the two notions
-coincide only for specific plan shapes — exactly the shapes
-:mod:`repro.rpq.compile` emits for regular path queries.  This module
-recognizes those shapes by *decompiling* a plan back into the regex it was
-compiled from; anything that fails to decompile is reported as unsupported and
-the executor falls back to the materializing evaluator, so parity is never at
-risk on exotic plans.
+The automaton executor evaluates ϕShortest closures on the product of
+graph × NFA, which computes *word-level* semantics: a path qualifies iff its
+label word is in the regex language.  The algebra's ``Recursive`` operator
+instead composes whole sub-paths, and the two notions coincide only for
+specific plan shapes — exactly the shapes :mod:`repro.rpq.compile` emits for
+regular path queries.  This module recognizes those shapes by *decompiling*
+the closure's base back into the regex it was compiled from; anything that
+fails to decompile is reported as unsupported and the executor falls back to
+the materializing evaluator, so parity is never at risk on exotic plans.
 
-Supported shapes (``classify_plan``):
+Supported shapes (``classify_plan``), all with restrictor ``SHORTEST``:
 
-* a ϕ-free plan that decompiles to a star-free regex ``R`` — the result is the
-  set of walks whose label word is in ``L(R)``;
-* ``Recursive(inner, r, ml)`` with a ϕ-free, star-free, decompilable ``inner``
-  → the restrictor closure of the base set ``L(R)``;
-* ``Union(Recursive(inner, r, ml), NodesScan())`` — the ``R*`` compile shape:
-  the closure above plus every length-zero node path;
-* ``σ[first.c](Recursive(inner, r, ml))`` with nothing else in the condition
-  (``seeded_closure_input`` with no residual) — the same closure searched
-  from the source nodes satisfying ``c`` only;
+* ``Recursive(inner, SHORTEST, ml)`` with a ϕ-free decompilable ``inner``
+  (the base regex ``R``) → the ϕShortest closure of the base set ``L(R)``;
+* ``Union(Recursive(inner, SHORTEST, ml), NodesScan())`` — the ``R*`` compile
+  shape: the closure above plus every length-zero node path;
+* ``σ[first.c](Recursive(inner, SHORTEST, ml))`` with nothing else in the
+  condition (``seeded_closure_input`` with no residual) — the same closure
+  searched from the source nodes satisfying ``c`` only;
 * any of the above under an identity crown (``identity_crown_input``) — an
   ``ALL`` query the optimizer did not see; it removes such crowns otherwise.
 
-A ϕWalk closure with no bound (neither its own ``max_length`` nor the
-engine's ``default_max_length``) is rejected so the fallback path can raise
-the evaluator's ``NonTerminatingQueryError`` with identical semantics.
+Other restrictors and ϕ-free plans run through the closure kernel and the
+access paths, which the executor reaches by falling back.
 """
 
 from __future__ import annotations
@@ -49,39 +45,26 @@ from repro.algebra.expressions import (
 )
 from repro.graph.model import PropertyGraph
 from repro.paths.path import Path
-from repro.rpq.ast import (
-    Alternation,
-    AnyLabel,
-    Concat,
-    Epsilon,
-    Label,
-    Optional,
-    Plus,
-    RegexNode,
-    Star,
-)
+from repro.rpq.ast import Alternation, AnyLabel, Concat, Epsilon, Label, RegexNode
 from repro.semantics.restrictors import Restrictor
 
 __all__ = [
     "AutomatonPlan",
     "classify_plan",
     "decompile_plan",
-    "max_word_length",
     "plan_supported",
 ]
 
 
 @dataclass(frozen=True)
 class AutomatonPlan:
-    """A plan shape the product-graph executor evaluates natively.
+    """A ϕShortest closure the product-graph executor evaluates natively.
 
     Attributes:
-        kind: ``"walks"`` (ϕ-free regex match), ``"closure"`` (a single
-            ``Recursive`` node) or ``"closure_with_nodes"`` (the ``R*``
-            compile shape ``closure ∪ NodesScan``).
-        regex: For ``"walks"``, the whole plan's regex; for the closure
-            kinds, the regex of the ``Recursive`` child (one segment).
-        restrictor: The closure restrictor (``WALK`` for ``"walks"``).
+        kind: ``"closure"`` (a single ``Recursive`` node) or
+            ``"closure_with_nodes"`` (the ``R*`` compile shape
+            ``closure ∪ NodesScan``).
+        regex: The regex of the ``Recursive`` child (one segment).
         max_length: The *effective* closure bound — the plan's own
             ``max_length`` if set, else the engine ``default_max_length``.
         sources: A first-node condition restricting the nodes the search
@@ -90,7 +73,6 @@ class AutomatonPlan:
 
     kind: str
     regex: RegexNode
-    restrictor: Restrictor
     max_length: int | None
     sources: Condition | None = None
 
@@ -134,41 +116,14 @@ def decompile_plan(plan: Expression) -> RegexNode | None:
     return None
 
 
-def max_word_length(regex: RegexNode) -> int | None:
-    """Length of the longest word ``regex`` matches, or ``None`` if unbounded."""
-    if isinstance(regex, (Label, AnyLabel)):
-        return 1
-    if isinstance(regex, Epsilon):
-        return 0
-    if isinstance(regex, Concat):
-        left = max_word_length(regex.left)
-        right = max_word_length(regex.right)
-        if left is None or right is None:
-            return None
-        return left + right
-    if isinstance(regex, Alternation):
-        left = max_word_length(regex.left)
-        right = max_word_length(regex.right)
-        if left is None or right is None:
-            return None
-        return max(left, right)
-    if isinstance(regex, Optional):
-        return max_word_length(regex.operand)
-    if isinstance(regex, (Star, Plus)):
-        return None
-    return None
-
-
 def _classify_recursive(plan: Recursive, default_max_length: int | None) -> AutomatonPlan | None:
+    if plan.restrictor is not Restrictor.SHORTEST:
+        return None
     regex = decompile_plan(plan.child)
-    if regex is None or max_word_length(regex) is None:
+    if regex is None:
         return None
     bound = plan.max_length if plan.max_length is not None else default_max_length
-    if plan.restrictor is Restrictor.WALK and bound is None:
-        # ϕWalk without any bound raises NonTerminatingQueryError in the
-        # evaluator (cycle guard); let the fallback replicate it exactly.
-        return None
-    return AutomatonPlan("closure", regex, plan.restrictor, bound)
+    return AutomatonPlan("closure", regex, bound)
 
 
 def classify_plan(
@@ -191,22 +146,14 @@ def classify_plan(
         and isinstance(plan.right, NodesScan)
     ):
         closure = _classify_recursive(plan.left, default_max_length)
-        if closure is None:
-            return None
-        return AutomatonPlan(
-            "closure_with_nodes", closure.regex, closure.restrictor, closure.max_length
-        )
-    regex = decompile_plan(plan)
-    if regex is None or max_word_length(regex) is None:
-        return None
-    return AutomatonPlan("walks", regex, Restrictor.WALK, max_word_length(regex))
+        return None if closure is None else replace(closure, kind="closure_with_nodes")
+    return None
 
 
 def plan_supported(plan: Expression) -> bool:
     """``True`` when the executor can evaluate ``plan`` without falling back.
 
-    Used by cost-based selection and the portfolio router; conservative with
-    respect to ``default_max_length`` (an unbounded ϕWalk is reported
-    unsupported even though a default bound could make it evaluable).
+    Used by the ``auto`` policy (:func:`~repro.engine.executor.choose_executor`);
+    ``default_max_length`` only sets the search bound, never the envelope.
     """
     return classify_plan(plan, None) is not None

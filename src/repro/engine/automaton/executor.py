@@ -1,13 +1,14 @@
 """The product-graph automaton executor (third member of the executor layer).
 
-``AutomatonExecutor`` evaluates the plan shapes of
+``AutomatonExecutor`` evaluates the ϕShortest shapes of
 :func:`~repro.engine.automaton.decompile.classify_plan` by lazy search over
-``graph × NFA`` — see :mod:`repro.engine.automaton.product`.  Plans outside
-the native envelope delegate to the materializing evaluator, so an explicit
-``executor="automaton"`` request is always safe: results are identical on
-every plan, only the evaluation strategy differs.  ``statistics.executor``
-reports ``"automaton"`` either way (the strategy the caller addressed);
-``operator_calls`` reveals which route ran.
+``graph × NFA`` — see :mod:`repro.engine.automaton.product`.  Every other
+plan, including closures under the other restrictors, delegates to the
+materializing evaluator, so an explicit ``executor="automaton"`` request is
+always safe: results are identical on every plan, only the evaluation
+strategy differs.  ``statistics.executor`` reports ``"automaton"`` either way
+(the strategy the caller addressed); ``operator_calls`` reveals which route
+ran.
 """
 
 from __future__ import annotations
@@ -16,63 +17,21 @@ from itertools import islice
 from typing import Iterator
 
 from repro.algebra.expressions import Expression
-from repro.engine.automaton.decompile import AutomatonPlan, classify_plan
-from repro.engine.automaton.int_product import iter_shortest_compact
+from repro.engine.automaton.decompile import classify_plan
 from repro.engine.automaton.product import iter_product_plan
 from repro.engine.executor import ExecutionResult, MaterializeExecutor
 from repro.engine.footprint import plan_footprint
 from repro.execution import ExecutionStatistics, QueryBudget
-from repro.graph.compact import compact_core_of
 from repro.graph.delta import QueryFootprint
 from repro.graph.model import PropertyGraph
 from repro.paths.path import Path
 from repro.paths.pathset import PathSet
-from repro.semantics.restrictors import Restrictor
 
-__all__ = ["AutomatonExecutor", "stream_product_paths"]
-
-
-def stream_product_paths(
-    graph: PropertyGraph, spec: AutomatonPlan, budget: QueryBudget | None
-) -> Iterator[Path]:
-    """Stream the result of a classified plan, routing ϕShortest closures to
-    the int-encoded CSR search when a compact core is current."""
-    if spec.restrictor is Restrictor.SHORTEST and spec.kind in (
-        "closure",
-        "closure_with_nodes",
-    ):
-        compact = compact_core_of(graph)
-        if compact is not None:
-            closure = iter_shortest_compact(
-                graph,
-                compact,
-                spec.regex,
-                spec.max_length,
-                budget,
-                None if spec.sources is None else spec.source_nodes(graph),
-            )
-            if spec.kind == "closure":
-                return closure
-            return _nodes_then_closure(graph, closure)
-    return iter_product_plan(graph, spec, budget)
-
-
-def _nodes_then_closure(
-    graph: PropertyGraph, closure: Iterator[Path]
-) -> Iterator[Path]:
-    """The ``closure ∪ NodesScan`` union, zero-length duplicates suppressed."""
-    zero_emitted = set()
-    for node_id in graph.node_ids():
-        zero_emitted.add(node_id)
-        yield Path.from_node(graph, node_id)
-    for path in closure:
-        if path.len() == 0 and path.first() in zero_emitted:
-            continue
-        yield path
+__all__ = ["AutomatonExecutor"]
 
 
 class AutomatonExecutor:
-    """Executor backed by lazy BFS/Dijkstra over the product automaton.
+    """Executor backed by a lazy level-synchronized BFS over the product automaton.
 
     SHORTEST closures stream: witnesses for an endpoint pair are emitted the
     moment their distance level completes, so a cursor sees first rows while
@@ -109,7 +68,7 @@ class AutomatonExecutor:
         statistics.footprint = (
             footprint if footprint is not None else plan_footprint(plan)
         )
-        stream = stream_product_paths(graph, spec, budget)
+        stream = iter_product_plan(graph, spec, budget)
         if limit is None:
             paths = PathSet.from_unique(stream)
             statistics.record("automaton-product", len(paths))
@@ -150,4 +109,4 @@ class AutomatonExecutor:
         spec = classify_plan(plan, default_max_length)
         if spec is None:
             return None
-        return stream_product_paths(graph, spec, budget)
+        return iter_product_plan(graph, spec, budget)

@@ -1,33 +1,24 @@
-"""Lazy product-graph search over ``graph × NFA`` (object-path route).
+"""Streaming ϕShortest as a search over ``graph × NFA(R+)``.
 
-Evaluates the shapes recognized by :mod:`repro.engine.automaton.decompile`
-directly on the product of the property graph with the Thompson NFA of the
-decompiled regex, instead of composing materialized path sets:
+The one product walker of the automaton executor.  A classified plan
+(:mod:`repro.engine.automaton.decompile`) is a ϕShortest closure over a base
+regex ``R``; instead of running the closure kernel over the base paths, this
+module runs a *level-synchronized* BFS across all sources at once over product
+states ``(source, node, NFA(R+) state set)``.  Every product state stores all
+its predecessors at the previous level, so when level ``d`` completes, each
+endpoint pair first reached at distance ``d`` is final and **all** of its
+minimal witnesses are emitted immediately — the stream yields rows before
+deeper levels are explored.
 
-* ``"walks"`` — depth-first enumeration of all walks whose label word the
-  (star-free) regex accepts; the regex's maximum word length bounds the
-  search, so no closure machinery is needed.
-* ``"closure"`` under ϕWalk / ϕTrail / ϕAcyclic / ϕSimple — the same
-  enumeration against *two* NFAs tracked jointly: ``NFA(R+)`` (compositions,
-  bounded by ``max_length``) and ``NFA(R)`` (single base segments, which the
-  closure includes regardless of the bound).  Restrictor predicates prune
-  edge-by-edge: every prefix of a trail is a trail, every prefix of an
-  acyclic path is acyclic, and a simple path is an acyclic prefix that may
-  close on its first node once.
-* ``"closure"`` under ϕShortest — a *level-synchronized* BFS across all
-  sources at once over ``NFA(R+)``.  Every product state stores all its
-  predecessors at the previous level, so when level ``d`` completes, each
-  endpoint pair first reached at distance ``d`` is final and **all** of its
-  minimal witnesses are emitted immediately — this is what makes SHORTEST
-  stream instead of blocking on the whole closure.
-
-Each walk corresponds to exactly one determinized product trace, so the
-enumeration is duplicate-free by construction and the results feed
+Nodes and edges are the graph's own ids and adjacency is read through
+``graph.out_edges``, so mutable, frozen and snapshot-pinned graphs run this
+same code.  Each walk corresponds to exactly one determinized product trace,
+so the enumeration is duplicate-free by construction and the results feed
 ``PathSet.from_unique`` directly.
 
-Every generator charges the :class:`~repro.execution.QueryBudget` in
+The search charges the :class:`~repro.execution.QueryBudget` in
 ``CHARGE_BATCH`` steps with per-level checkpoints, so budget kills carry
-partial progress exactly like the closure strategies do.
+partial progress exactly like the closure kernel does.
 """
 
 from __future__ import annotations
@@ -40,7 +31,6 @@ from repro.graph.model import PropertyGraph
 from repro.paths.path import Path
 from repro.rpq.ast import Plus, RegexNode
 from repro.rpq.automaton import NFA, build_nfa
-from repro.semantics.restrictors import Restrictor
 
 __all__ = ["iter_product_plan"]
 
@@ -50,7 +40,7 @@ _WITNESS_LABEL = "automaton-witness"
 
 
 class _BudgetMeter:
-    """Batched charge helper shared by every product-search loop."""
+    """Batched charge helper for the search loop and the witness enumeration."""
 
     __slots__ = ("budget", "pending", "batch")
 
@@ -130,9 +120,6 @@ def iter_product_plan(
 ) -> Iterator[Path]:
     """Stream the result paths of a classified plan shape."""
     sources = spec.source_nodes(graph)
-    if spec.kind == "walks":
-        yield from _iter_walks(graph, sources, spec.regex, spec.max_length, budget)
-        return
     if spec.kind == "closure_with_nodes":
         # The R* compile shape unions NodesScan *after* the closure, so every
         # node path joins the result unconditionally; emit them first (they
@@ -141,148 +128,12 @@ def iter_product_plan(
         for node_id in graph.node_ids():
             zero_emitted.add(node_id)
             yield Path.from_node(graph, node_id)
-        for path in _iter_closure(graph, sources, spec, budget):
+        for path in _iter_shortest(graph, sources, spec.regex, spec.max_length, budget):
             if path.len() == 0 and path.first() in zero_emitted:
                 continue
             yield path
         return
-    yield from _iter_closure(graph, sources, spec, budget)
-
-
-def _iter_closure(
-    graph: PropertyGraph, sources: list[str], spec: AutomatonPlan, budget: QueryBudget | None
-) -> Iterator[Path]:
-    if spec.restrictor is Restrictor.SHORTEST:
-        yield from _iter_shortest(graph, sources, spec.regex, spec.max_length, budget)
-    else:
-        yield from _iter_restricted_closure(
-            graph, sources, spec.regex, spec.restrictor, spec.max_length, budget
-        )
-
-
-def _iter_walks(
-    graph: PropertyGraph,
-    sources: list[str],
-    regex: RegexNode,
-    depth_cap: int | None,
-    budget: QueryBudget | None,
-) -> Iterator[Path]:
-    """All walks whose label word is accepted by a star-free ``regex``."""
-    nfa = _CachedNFA(build_nfa(regex))
-    init = nfa.initial()
-    adj = _adjacency(graph)
-    meter = _BudgetMeter(budget)
-    cap = depth_cap if depth_cap is not None else 0
-    for source in sources:
-        meter.checkpoint(_PRODUCT_LABEL)
-        if nfa.accepts(init):
-            meter.tick()
-            yield Path.from_node(graph, source)
-        stack = [(source, init, (source,), ())]
-        while stack:
-            node, states, nodes, edges = stack.pop()
-            if len(edges) >= cap:
-                continue
-            for label, edge_id, target in adj[node]:
-                moved = nfa.step(states, label)
-                if not moved:
-                    continue
-                meter.tick()
-                child = (target, moved, nodes + (target,), edges + (edge_id,))
-                if nfa.accepts(moved):
-                    yield Path._unchecked(graph, child[2], child[3])
-                stack.append(child)
-    meter.flush()
-
-
-def _iter_restricted_closure(
-    graph: PropertyGraph,
-    sources: list[str],
-    regex: RegexNode,
-    restrictor: Restrictor,
-    max_length: int | None,
-    budget: QueryBudget | None,
-) -> Iterator[Path]:
-    """ϕWalk/ϕTrail/ϕAcyclic/ϕSimple closure of the base set ``L(regex)``.
-
-    Tracks two NFA state sets per product state: ``plus`` over ``L(R+)`` for
-    compositions (live only while the bound permits another emission) and
-    ``base`` over ``L(R)`` for single segments, which the closure admits at
-    any length — the star-free base automaton dies out on its own.  A path is
-    emitted when either automaton accepts it within its regime.
-    """
-    nfa_plus = _CachedNFA(build_nfa(Plus(regex)))
-    nfa_base = _CachedNFA(build_nfa(regex))
-    init_plus = nfa_plus.initial()
-    init_base = nfa_base.initial()
-    adj = _adjacency(graph)
-    empty: frozenset[int] = frozenset()
-    bound = max_length  # None means unbounded compositions (pruned modes only)
-    trail = restrictor is Restrictor.TRAIL
-    acyclic = restrictor is Restrictor.ACYCLIC
-    simple = restrictor is Restrictor.SIMPLE
-    meter = _BudgetMeter(budget)
-    for source in sources:
-        meter.checkpoint(_PRODUCT_LABEL)
-        if nfa_base.accepts(init_base) or (
-            nfa_plus.accepts(init_plus) and (bound is None or bound >= 0)
-        ):
-            meter.tick()
-            yield Path.from_node(graph, source)
-        visited = frozenset((source,)) if (acyclic or simple) else frozenset()
-        # entry: (node, plus states, base states, nodes, edges, visited, closed)
-        stack = [(source, init_plus, init_base, (source,), (), visited, False)]
-        while stack:
-            node, plus, base, nodes, edges, visited, closed = stack.pop()
-            if closed:
-                # A closed simple path (first == last) cannot be extended:
-                # any further node would revisit the shared endpoint.
-                continue
-            length = len(edges)
-            plus_alive = plus and (bound is None or length < bound)
-            for label, edge_id, target in adj[node]:
-                if trail:
-                    if edge_id in visited:
-                        continue
-                    child_visited = visited | {edge_id}
-                    child_closed = False
-                elif acyclic:
-                    if target in visited:
-                        continue
-                    child_visited = visited | {target}
-                    child_closed = False
-                elif simple:
-                    if target in visited and target != nodes[0]:
-                        continue
-                    child_closed = target == nodes[0]
-                    child_visited = visited if child_closed else visited | {target}
-                else:
-                    child_visited = visited
-                    child_closed = False
-                next_plus = nfa_plus.step(plus, label) if plus_alive else empty
-                next_base = nfa_base.step(base, label) if base else empty
-                if not next_plus and not next_base:
-                    continue
-                meter.tick()
-                child_nodes = nodes + (target,)
-                child_edges = edges + (edge_id,)
-                if nfa_base.accepts(next_base) or (
-                    nfa_plus.accepts(next_plus)
-                    and (bound is None or len(child_edges) <= bound)
-                ):
-                    yield Path._unchecked(graph, child_nodes, child_edges)
-                stack.append(
-                    (
-                        target,
-                        next_plus,
-                        next_base,
-                        child_nodes,
-                        child_edges,
-                        child_visited,
-                        child_closed,
-                    )
-                )
-    meter.flush()
+    yield from _iter_shortest(graph, sources, spec.regex, spec.max_length, budget)
 
 
 def _iter_shortest(

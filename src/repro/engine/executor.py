@@ -15,8 +15,8 @@ and a :class:`~repro.graph.model.PropertyGraph` and produces an
   :mod:`repro.engine.physical`; streams selections, joins and unions, and
   honours a ``limit`` by simply not pulling more paths (early termination);
 * ``AutomatonExecutor`` (:mod:`repro.engine.automaton`) — lazy BFS over the
-  product of graph × NFA; makes ϕShortest streaming and falls back to the
-  materializing evaluator on plans outside its native envelope.
+  product of graph × NFA for ϕShortest closures; falls back to the
+  materializing evaluator on every other plan.
 
 :func:`choose_executor` implements the ``"auto"`` policy: it consults the
 :class:`~repro.optimizer.cost.CostModel` for the fraction of estimated work
@@ -65,8 +65,7 @@ AUTOMATON_EXECUTOR_NAME = "automaton"
 RECURSIVE_COST_THRESHOLD = 0.5
 
 #: Above this fraction of estimated cost inside ϕShortest fix points, ``auto``
-#: routes a natively-supported plan to the product-automaton executor (whose
-#: streaming level-BFS dominates the path-level Dijkstra closure there).
+#: routes a natively-supported plan to the product-automaton executor.
 SHORTEST_COST_THRESHOLD = 0.5
 
 
@@ -222,9 +221,10 @@ def choose_executor(plan: Expression, cost_model: CostModel) -> str:
     materializing avoids the pipeline's per-path iterator overhead.
 
     Plans dominated by ``ϕShortest`` fix points that the product-automaton
-    executor supports natively route there first: the streaming level-BFS on
-    the product graph beats both the blocking Dijkstra closure and the
-    pipeline for that mode.
+    executor supports natively route there first, to its streaming level-BFS
+    on the product graph.  (On full SHORTEST closures the closure kernel is
+    measured faster — PERFORMANCE.md, "Automaton executor and streaming
+    SHORTEST"; the route is kept until the thresholds are re-cut.)
     """
     if cost_model.shortest_cost_fraction(plan) > SHORTEST_COST_THRESHOLD:
         # Imported lazily: the automaton package builds on this module.

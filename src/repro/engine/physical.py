@@ -16,9 +16,9 @@ pull-based iterator pipeline — with three practical benefits:
 * **per-operator counters** — the number of paths flowing across each edge of
   the plan, which the benchmarks report.
 
-Recursive operators and solution-space operators are inherently blocking, so
-they materialize internally; results are always identical to the logical
-evaluator (asserted by the test suite), which is exactly the
+Recursive operators materialize their input (then stream the closure) and
+solution-space operators materialize where grouping requires it; results are
+always identical to the logical evaluator (asserted by the test suite), which is exactly the
 logical/physical-equivalence property a query engine needs.
 """
 
@@ -308,9 +308,8 @@ class _RecursiveOp(_PhysicalOperator):
     :func:`~repro.semantics.restrictors.iter_recursive_closure`: each newly
     discovered path is yielded immediately, so a limited pull (LIMIT
     pushdown, a :class:`~repro.engine.results.ResultCursor` consuming a few
-    rows) suspends the fix point instead of paying for the whole closure.
-    SHORTEST remains blocking inside the iterator (domination is a global
-    property of the closure).  With a ``seed`` condition (``seeded_closure_input``)
+    rows) suspends the fix point instead of paying for the whole closure —
+    under every restrictor, SHORTEST included.  With a ``seed`` condition (``seeded_closure_input``)
     the fix point starts from the input paths that satisfy it; extensions still
     come from the whole input.
     """

@@ -24,11 +24,11 @@ A ``CompactGraph`` duck-types the *read* API of ``PropertyGraph`` /
 every existing consumer works unchanged; mutators raise
 :class:`~repro.errors.FrozenGraphError`.  Node/edge objects are materialized
 lazily and memoized — scans and adjacency expansion read the columns directly
-(:mod:`repro.paths.access`), and the product-graph search walks them int-encoded
-(:mod:`repro.engine.automaton.int_product`).  The closure kernel
-(:mod:`repro.semantics.restrictors`) needs nothing from the core: it runs on
-whatever identifiers the base paths carry, so a frozen graph and a mutable one
-execute the same closure code.
+(:mod:`repro.paths.access`).  Neither the closure kernel
+(:mod:`repro.semantics.restrictors`) nor the automaton executor's product search
+(:mod:`repro.engine.automaton.product`) needs anything from the core: both run on
+the graph's own identifiers, so a frozen graph and a mutable one execute the same
+closure code.
 
 Pickling ships only the flat columns (object memos are dropped), which is what
 makes ``spawn``-mode process workers cheap: the wire payload is a handful of
@@ -54,12 +54,13 @@ _NO_PROPS: tuple = ()
 def compact_core_of(graph) -> "CompactGraph | None":
     """Return the compact core behind ``graph`` if one is current, else ``None``.
 
-    This is the engine's detection hook: the access paths and the automaton
-    executor call it on whatever graph-like object a query is pinned to (a live
-    ``PropertyGraph``, a ``GraphSnapshot`` view, or a ``CompactGraph`` itself)
-    and read the columns only when it returns a core whose version matches the
-    view.  Mutable graphs without a current core fall back to the object path
-    — behaviour, not just results, is identical by construction.
+    This is the engine's detection hook: the access paths
+    (:mod:`repro.paths.access`, the scans and adjacency expands) call it on
+    whatever graph-like object a query is pinned to (a live ``PropertyGraph``,
+    a ``GraphSnapshot`` view, or a ``CompactGraph`` itself) and read the
+    columns only when it returns a core whose version matches the view.
+    Mutable graphs without a current core fall back to the object path —
+    behaviour, not just results, is identical by construction.
     """
     probe = getattr(graph, "compact_core", None)
     if probe is None:
@@ -394,15 +395,6 @@ class CompactGraph:
             return flat_edges, flat_targets, 0, 0
         start = packed >> 32
         return flat_edges, flat_targets, start, start + (packed & 0xFFFFFFFF)
-
-    def node_label_code(self, index: int) -> int:
-        return self._node_labels[index]
-
-    def edge_label_code(self, index: int) -> int:
-        return self._edge_labels[index]
-
-    def label_for_code(self, code: int) -> str | None:
-        return self._labels[code]
 
     # ------------------------------------------------------------------
     # Object materialization (lazy, memoized — result decode only)

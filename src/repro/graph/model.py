@@ -511,9 +511,8 @@ class PropertyGraph:
         :class:`~repro.errors.FrozenGraphError` until :meth:`thaw` is called.
         Freezing also compiles the graph into its
         :class:`~repro.graph.compact.CompactGraph` core (CSR adjacency,
-        interned labels), which scans, adjacency expansion and the automaton
-        executor then read — see :meth:`ensure_compact` for the build-only
-        variant.
+        interned labels), which scans and adjacency expansion then read —
+        see :meth:`ensure_compact` for the build-only variant.
         """
         with self._lock:
             self._frozen = True
@@ -540,7 +539,7 @@ class PropertyGraph:
         Unlike :meth:`freeze` this does not disable mutation — the core is
         simply invalidated by the next write.  Read-heavy consumers (the
         ``Database`` session path, the ``QueryService``) call this on first
-        read so closures run columnar whenever the graph is quiescent.
+        read so scans and expands read the columns whenever the graph is quiescent.
         """
         with self._lock:
             return self._ensure_compact_locked()
@@ -556,8 +555,8 @@ class PropertyGraph:
     def compact_core(self):
         """The cached columnar core if it matches the current version, else ``None``.
 
-        This is the cheap, lock-free detection probe the closure dispatch
-        uses on every query; it never builds anything.
+        This is the cheap, lock-free detection probe the access paths use
+        on every scan; it never builds anything.
         """
         compact = self._compact
         if compact is not None and compact.version == self._version:

@@ -85,7 +85,7 @@ class GraphSnapshot:
         :class:`~repro.graph.compact.CompactGraph` built at exactly ``v``:
         an older core would miss objects this snapshot sees, a newer one
         would leak objects it must not.  Returns ``None`` otherwise (the
-        closure engine then runs the object path against the view).
+        access paths then read the view's objects).
         """
         compact = self._parent._compact
         if compact is not None and compact.version == self._version:

@@ -5,8 +5,10 @@ while tracking the states of an automaton constructed from the regular
 expression") needs a nondeterministic finite automaton over the alphabet of
 edge labels.  This module builds a Thompson-style NFA (with epsilon
 transitions) from a :class:`~repro.rpq.ast.RegexNode`, offers epsilon-closure
-computation, word acceptance, and a determinized view used by the baseline
-product-graph algorithm in :mod:`repro.baselines.automaton_eval`.
+computation, word acceptance, and a determinized view (``initial_states`` /
+``step`` over state sets) used by the automaton executor's ϕShortest product
+search (:mod:`repro.engine.automaton.product`) and by the reference baselines
+in :mod:`repro.baselines.automaton_eval` and :mod:`repro.baselines.traversal`.
 """
 
 from __future__ import annotations

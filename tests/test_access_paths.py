@@ -349,8 +349,8 @@ class TestExplain:
         rendered = engine.explain("MATCH ALL SHORTEST p = (?x)-[Knows]->+(?y)").render()
         assert "Access paths: product-graph search" in rendered
         assert "[label-index" not in rendered
-        # Outside the native envelope the automaton falls back to the evaluator
-        # (a first-node predicate is inside it since seeded closures; a last-node one is not).
+        # Outside the native envelope (ϕShortest only, seeded by first-node
+        # predicates at most) the automaton falls back to the evaluator.
         fallback = engine.explain('MATCH ALL TRAIL p = (?x)-[Knows]->+(?y {name: "Moe"})').render()
         assert "[label-index(Knows)]" in fallback
 

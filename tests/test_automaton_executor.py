@@ -1,20 +1,21 @@
 """The product-graph automaton executor: shapes, parity, streaming, routing.
 
 Complements the three-way sweeps in ``test_differential.py`` with targeted
-coverage of the new subsystem itself: the plan → regex decompiler and shape
-classifier, cost-based selection, fallback attribution, limit
-semantics, the frozen-graph int route, the fork boundary of the process pool,
-and — the acceptance-criterion test — a cursor proving SHORTEST rows stream
-out *before* the closure could possibly have completed.
+coverage of the subsystem itself: the plan → regex decompiler and its
+SHORTEST-only classifier, cost-based selection, the evaluator fallback and its
+attribution, limit semantics, parity across graph encodings, the fork boundary
+of the process pool, and — the acceptance-criterion test — a cursor proving
+SHORTEST rows stream out *before* the closure could possibly have completed.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from graph_corpus import closure_corpus
-from repro.algebra.expressions import NodesScan, Projection, Recursive, Union
-from repro.datasets.generators import cycle_graph
+from graph_corpus import closure_corpus, frozen_twin
+from repro.algebra.conditions import Comparator, prop_of_first
+from repro.algebra.expressions import NodesScan, Projection, Recursive, Selection, Union
+from repro.datasets.generators import complete_graph, cycle_graph
 from repro.engine.automaton import AutomatonExecutor, classify_plan, plan_supported
 from repro.engine.engine import PathQueryEngine
 from repro.engine.executor import (
@@ -48,27 +49,41 @@ def _plan(regex: str, restrictor: Restrictor, max_length: int | None = 3):
 
 def test_classifier_covers_compiled_regex_shapes() -> None:
     spec = classify_plan(_plan("(Knows|Likes)+", Restrictor.SHORTEST))
-    assert spec is not None and spec.kind == "closure"
-    assert spec.restrictor is Restrictor.SHORTEST and spec.max_length == 3
+    assert spec is not None and spec.kind == "closure" and spec.max_length == 3
 
-    spec = classify_plan(_plan("Knows*", Restrictor.TRAIL, None))
+    spec = classify_plan(_plan("Knows*", Restrictor.SHORTEST, None))
     assert spec is not None and spec.kind == "closure_with_nodes"
 
-    spec = classify_plan(_plan("Knows/Likes", Restrictor.WALK, None))
-    assert spec is not None and spec.kind == "walks" and spec.max_length == 2
+    seed = prop_of_first("name", "p1")
+    spec = classify_plan(Selection(seed, _plan("Knows+", Restrictor.SHORTEST, None)))
+    assert spec is not None and spec.kind == "closure" and spec.sources == seed
+
+
+#: Plans the automaton once searched natively and now hands to the evaluator:
+#: closures under every restrictor but SHORTEST, and ϕ-free walk matches.
+NOT_NATIVE = (
+    _plan("Knows+", Restrictor.TRAIL, None),
+    _plan("Knows+", Restrictor.ACYCLIC, None),
+    _plan("(Knows|Likes)+", Restrictor.SIMPLE, None),
+    _plan("(Knows|Likes)+", Restrictor.WALK, 3),
+    _plan("Knows*", Restrictor.TRAIL, None),
+    Selection(prop_of_first("name", "p1"), _plan("Knows+", Restrictor.TRAIL, 3)),
+    _plan("Knows/Likes", Restrictor.WALK, None),
+)
 
 
 def test_classifier_rejects_out_of_envelope_plans() -> None:
-    # An unbounded ϕWalk must fall back (the evaluator's cycle guard raises).
-    assert classify_plan(_plan("Knows+", Restrictor.WALK, None)) is None
-    # ...but the engine default bound makes it native again.
-    assert classify_plan(_plan("Knows+", Restrictor.WALK, None), 4) is not None
+    for plan in NOT_NATIVE:
+        assert classify_plan(plan) is None, str(plan)
+        assert classify_plan(plan, 4) is None, str(plan)
+        assert plan_supported(plan) is False, str(plan)
     # Nested recursion: the inner plan is not ϕ-free.
-    nested = Recursive(_plan("Knows+", Restrictor.TRAIL, 2), Restrictor.TRAIL, 2)
+    nested = Recursive(_plan("Knows+", Restrictor.TRAIL, 2), Restrictor.SHORTEST, 2)
     assert classify_plan(nested) is None
-    # A union whose right arm is not NodesScan is not the R* shape.
-    assert classify_plan(Union(_plan("Knows+", Restrictor.TRAIL, 2), NodesScan())) is not None
     assert plan_supported(nested) is False
+    # A union whose right arm is not NodesScan is not the R* shape.
+    assert classify_plan(Union(_plan("Knows+", Restrictor.SHORTEST, 2), NodesScan())) is not None
+    assert classify_plan(Union(_plan("Knows+", Restrictor.SHORTEST, 2), _plan("Likes", Restrictor.WALK))) is None
 
 
 def test_classifier_sees_all_shortest_with_and_without_its_crown() -> None:
@@ -116,10 +131,28 @@ def test_engine_accepts_automaton_executor_name() -> None:
 def test_fallback_delegates_but_keeps_attribution() -> None:
     graph = CORPUS[1]
     nested = Recursive(_plan("Knows+", Restrictor.TRAIL, 2), Restrictor.TRAIL, 2)
-    via_automaton = AutomatonExecutor().execute(nested, graph)
-    via_materialize = MaterializeExecutor().execute(nested, graph)
-    assert via_automaton.paths == via_materialize.paths
-    assert via_automaton.statistics.executor == "automaton"
+    for plan in (nested,) + NOT_NATIVE:
+        via_automaton = AutomatonExecutor().execute(plan, graph)
+        via_materialize = MaterializeExecutor().execute(plan, graph)
+        assert via_automaton.paths.paths() == via_materialize.paths.paths(), str(plan)
+        assert via_automaton.statistics.executor == "automaton"
+        # The evaluator ran: its operator rows, not the product search's.
+        assert via_automaton.statistics.operator_calls == via_materialize.statistics.operator_calls
+        assert "automaton-product" not in via_automaton.statistics.operator_calls
+        assert AutomatonExecutor().stream(plan, graph) is None
+
+
+def test_explicit_automaton_runs_non_shortest_texts_through_the_evaluator() -> None:
+    engine = PathQueryEngine(CORPUS[2])
+    for text in (
+        "MATCH ALL TRAIL p = (?x)-[Knows+]->(?y)",
+        "MATCH ALL ACYCLIC p = (?x)-[(Knows|Likes)+]->(?y)",
+        "MATCH ALL SIMPLE p = (?x)-[Knows/Likes]->(?y)",
+    ):
+        got = engine.query(text, executor="automaton")
+        expected = engine.query(text, executor="materialize")
+        assert got.statistics.executor == "automaton"
+        assert got.paths.paths() == expected.paths.paths(), text
 
 
 def test_limit_truncates_like_the_pipeline() -> None:
@@ -134,14 +167,56 @@ def test_limit_truncates_like_the_pipeline() -> None:
     assert set(cut.paths) <= set(full.paths)
 
 
-def test_frozen_graph_uses_int_product_route() -> None:
-    graph = CORPUS[3].copy()
-    frozen = graph.copy()
-    frozen.freeze()
-    plan = _plan("(Knows|Likes)+", Restrictor.SHORTEST, None)
-    on_object = AutomatonExecutor().execute(plan, graph)
-    on_frozen = AutomatonExecutor().execute(plan, frozen)
-    assert on_object.paths == on_frozen.paths
+def _encodings(graph: PropertyGraph) -> dict[str, object]:
+    """The same graph as mutable, frozen, pinned snapshot and snapshot over a core."""
+    written = graph.copy()
+    pinned = written.snapshot()
+    nodes = written.node_ids()
+    written.add_edge("late", nodes[0], nodes[-1], "Knows")
+    return {
+        "mutable": graph,
+        "frozen": frozen_twin(graph),
+        "snapshot": pinned,
+        "snapshot-over-core": frozen_twin(graph).snapshot(),
+    }
+
+
+#: The three shapes ``auto`` sends to the automaton: plain, seeded and ``R*``.
+SHORTEST_SHAPES = (
+    _plan("(Knows|Likes)+", Restrictor.SHORTEST, None),
+    Selection(prop_of_first("name", "p0", Comparator.NE), _plan("Knows+", Restrictor.SHORTEST, None)),
+    _plan("Knows*", Restrictor.SHORTEST, None),
+)
+
+
+@pytest.mark.parametrize("index", (0, 11, 24, 44, 48))
+def test_shortest_rows_are_the_same_on_every_encoding(index: int) -> None:
+    """One product walker: same rows in the same order whatever the graph's encoding."""
+    encodings = _encodings(CORPUS[index])
+    for plan in SHORTEST_SHAPES:
+        assert classify_plan(plan) is not None
+        rows = {
+            name: [path.interleaved() for path in AutomatonExecutor().execute(plan, target).paths]
+            for name, target in encodings.items()
+        }
+        assert rows["mutable"], str(plan)
+        for name, got in rows.items():
+            assert got == rows["mutable"], (str(plan), name)
+
+
+@pytest.mark.parametrize("max_visited", (1, 40, 150))
+def test_shortest_budget_kill_is_the_same_on_every_encoding(max_visited: int) -> None:
+    encodings = _encodings(complete_graph(6))
+    for plan in SHORTEST_SHAPES:
+        kills = {}
+        for name, target in encodings.items():
+            budget = QueryBudget(max_visited=max_visited)
+            with pytest.raises(BudgetExceeded) as excinfo:
+                AutomatonExecutor().execute(plan, target, budget=budget)
+            error = excinfo.value
+            kills[name] = (error.reason, error.stopped_at, error.depth_reached, error.paths_visited)
+        assert kills["mutable"][0] == "max_visited", str(plan)
+        assert len(set(kills.values())) == 1, (str(plan), kills)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +252,23 @@ def test_shortest_cursor_streams_before_closure_completes() -> None:
         engine.open_cursor(
             text, max_length=23, executor="materialize", budget=blocking_budget
         ).fetchmany(4)
+
+
+def test_pipeline_shortest_cursor_streams_before_closure_completes() -> None:
+    """The closure kernel's ϕShortest streams too: the same budget proof, pipeline executor.
+
+    The heap pops in non-decreasing length, so every popped path that
+    survives domination is final and leaves the kernel at once.
+    """
+    engine = PathQueryEngine(cycle_graph(24))
+    text = "MATCH ALL SHORTEST p = (?x)-[Knows+]->(?y)"
+    budget = QueryBudget.from_timeout(3600.0, max_visited=120)
+    cursor = engine.open_cursor(text, max_length=23, executor="pipeline", budget=budget)
+    first_rows = cursor.fetchmany(4)
+    assert len(first_rows) == 4
+    assert all(path.len() == 1 for path in first_rows)
+    with pytest.raises(BudgetExceeded):
+        cursor.fetchall()
 
 
 def test_shortest_cursor_drains_to_full_result() -> None:

@@ -102,9 +102,9 @@ GRAPH_IDS = [graph.name for graph in CORPUS]
 def test_executors_agree_on_random_regexes(index: int) -> None:
     """All three executors agree path-for-path on arbitrary regexes.
 
-    The automaton executor evaluates its native shapes on the product graph
-    and falls back to the materializing evaluator elsewhere, so the random
-    sweep exercises both routes against the compositional semantics.
+    The automaton executor evaluates its native ϕShortest shapes on the
+    product graph and falls back to the materializing evaluator elsewhere, so
+    the random sweep exercises both routes against the compositional semantics.
     """
     graph = CORPUS[index]
     engine = PathQueryEngine(graph)
@@ -127,9 +127,9 @@ def test_executors_agree_on_random_regexes(index: int) -> None:
 def test_executors_agree_on_frozen_graphs(index: int) -> None:
     """Three-way parity holds on frozen (CompactGraph-backed) twins too.
 
-    ϕShortest routes through the int-encoded CSR product search there; the
-    other restrictors stay on the object route.  Both must match the
-    compositional result byte-for-byte.
+    The automaton's ϕShortest product search runs the same code there as on
+    the mutable graph; the other restrictors fall back to the evaluator.  Both
+    must match the compositional result byte-for-byte.
     """
     graph = CORPUS[index].copy()
     graph.freeze()

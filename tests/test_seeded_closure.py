@@ -498,14 +498,21 @@ class TestExplain:
 
     def test_native_automaton_plan_prints_its_source_restriction(self, figure1) -> None:
         engine = PathQueryEngine(figure1, executor="automaton")
-        rendered = engine.explain(self.TEXT).render()
+        # Only a bare seeded ϕShortest is native (a SHORTEST text keeps its crown).
+        seeded = Selection(prop_of_first("name", "Moe"), Recursive(KNOWS, Restrictor.SHORTEST))
+        rendered = engine.explain_plan(seeded).render()
         assert "Access paths: product-graph search (sources: first.name = 'Moe')" in rendered
         assert "[seeded closure" not in rendered
-        unrestricted = engine.explain("MATCH ALL TRAIL p = (?x)-[Knows]->+(?y)").render()
+        unrestricted = engine.explain("MATCH ALL SHORTEST p = (?x)-[Knows]->+(?y)").render()
         assert unrestricted.splitlines().count("Access paths: product-graph search") == 1
-        # With a residual the automaton falls back to the evaluator, which seeds.
-        fallback = engine.explain('MATCH ALL TRAIL p = (?x {name: "Moe"})-[Knows]->+(?y {name: "Apu"})')
-        assert "[seeded closure(first: first.name = 'Moe')]" in fallback.render()
+        # Under the SHORTEST crown, with a residual or under any other
+        # restrictor the automaton falls back to the evaluator, which seeds.
+        for fallback in (
+            'MATCH ALL SHORTEST p = (?x {name: "Moe"})-[Knows]->+(?y)',
+            'MATCH ALL TRAIL p = (?x {name: "Moe"})-[Knows]->+(?y {name: "Apu"})',
+            self.TEXT,
+        ):
+            assert "[seeded closure(first: first.name = 'Moe')]" in engine.explain(fallback).render()
 
     def test_no_explain_result_field_was_added(self, figure1) -> None:
         explanation = PathQueryEngine(figure1).explain(self.TEXT)
