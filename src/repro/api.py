@@ -18,8 +18,7 @@ request/outcome types, and the CLI's ad-hoc wiring) with a single shape::
             print(path)
 
 * :func:`connect` returns a :class:`Database` — the owner of the graph, the
-  shared plan cache, the cost model, and (lazily) the concurrent query
-  service.
+  shared plan cache, and (lazily) the concurrent query service.
 * :meth:`Database.session` hands out :class:`Session` context managers.  A
   session pins a :class:`~repro.graph.snapshot.GraphSnapshot` at creation —
   every query in the session sees one immutable version of the graph, however
@@ -301,10 +300,6 @@ class Database:
         """Plan and optimize without executing; report costs and rewrites."""
         self._ensure_open()
         return self.engine.explain(text, max_length=max_length)
-
-    def cost_model(self):
-        """The engine's cost model for the live graph (memoized per version)."""
-        return self.engine.cost_model()
 
     def snapshot(self) -> GraphSnapshot:
         """An immutable snapshot of the graph as of now."""

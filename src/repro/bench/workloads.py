@@ -145,8 +145,7 @@ def selectivity_workloads(num_nodes: int = 120, seed: int = 11) -> list[Workload
 def executor_workloads(num_nodes: int | None = None, seed: int = 13) -> list[Workload]:
     """Streaming-friendly workloads for the executor comparison (BENCH_engine.json).
 
-    Every workload is a join/union plan with no recursion — the shape the
-    ``auto`` policy routes to the pull-based pipeline — and carries a
+    Every workload is a join/union plan with no recursion and carries a
     ``limit`` parameter for the early-termination (``LIMIT k``) measurement:
     the pipeline stops pulling after ``limit`` paths while the materializing
     evaluator always computes the full join.

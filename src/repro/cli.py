@@ -94,8 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(EXECUTOR_NAMES),
         default="auto",
         help="execution strategy: the materializing evaluator, the pull-based "
-        "pipeline, the product-graph automaton (streaming SHORTEST), or "
-        "cost-based automatic selection (default: auto)",
+        "pipeline, the product-graph automaton (streaming SHORTEST), or auto, "
+        "which here is the pipeline: this command reads its rows through a "
+        "cursor, and auto streams every cursor (default: auto)",
     )
     query.add_argument(
         "--phases",

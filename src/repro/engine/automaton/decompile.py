@@ -52,7 +52,6 @@ __all__ = [
     "AutomatonPlan",
     "classify_plan",
     "decompile_plan",
-    "plan_supported",
 ]
 
 
@@ -148,12 +147,3 @@ def classify_plan(
         closure = _classify_recursive(plan.left, default_max_length)
         return None if closure is None else replace(closure, kind="closure_with_nodes")
     return None
-
-
-def plan_supported(plan: Expression) -> bool:
-    """``True`` when the executor can evaluate ``plan`` without falling back.
-
-    Used by the ``auto`` policy (:func:`~repro.engine.executor.choose_executor`);
-    ``default_max_length`` only sets the search bound, never the envelope.
-    """
-    return classify_plan(plan, None) is not None

@@ -12,10 +12,11 @@ and exposes the convenience entry points a downstream application would use:
 
 Execution is routed through the pluggable executor layer
 (:mod:`repro.engine.executor`): the ``executor`` knob selects the
-materializing evaluator, the pull-based pipeline, or ``"auto"`` cost-based
-selection between them.  Parsed-and-optimized plans are memoized in an LRU
-:class:`PlanCache` keyed on the query text and the planning options, so hot
-queries skip parse/plan/optimize entirely at every graph version.
+materializing evaluator, the pull-based pipeline, the product automaton, or
+``"auto"`` — materialize what the caller drains, stream what it can stop
+early (a ``limit``, any cursor).  Parsed-and-optimized plans are memoized in
+an LRU :class:`PlanCache` keyed on the query text and the planning options,
+so hot queries skip parse/plan/optimize entirely at every graph version.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.engine.automaton.decompile import classify_plan
 from repro.engine.executor import (
     EXECUTOR_NAMES,
     ExecutionResult,
-    Executor,
     PipelineExecutor,
     choose_executor,
     resolve_executor,
@@ -141,18 +141,8 @@ class CachedPlan:
     plan: Expression
     optimized: Expression
     applied_rules: list[str]
-    #: Memoized ``"auto"`` choice: a pure function of the optimized plan and
-    #: the graph version.  Parameter bindings never change the plan *shape*,
-    #: so one choice serves every binding of a prepared query.  The cache key
-    #: carries no version, so the choice is revalidated against the graph
-    #: delta since ``auto_version`` (the cost model only shifts when the data
-    #: the plan touches changes).
-    auto_executor: str | None = None
-    #: Graph version :attr:`auto_executor` was chosen at.
-    auto_version: int | None = None
-    #: Lazily computed static footprint of the optimized plan, shared by the
-    #: auto-executor revalidation and by anything keying caches on what the
-    #: plan reads.
+    #: Lazily computed static footprint of the optimized plan, shared by every
+    #: execution and by anything keying caches on what the plan reads.
     footprint: QueryFootprint | None = None
 
     def compute_footprint(self) -> QueryFootprint:
@@ -174,9 +164,7 @@ class PlanCache:
 
     Keys are opaque tuples built by the engine from the query text and the
     planning options.  They are version-free — parse/plan/optimize is a pure
-    function of text and options, so one entry serves every graph version,
-    and the one version-sensitive memo (the ``auto`` executor choice) is
-    revalidated against the graph delta on access.
+    function of text and options, so one entry serves every graph version.
 
     A single instance is *not* thread-safe; concurrent workers share plans
     through the lock-striped :class:`~repro.service.StripedLRUCache`, which
@@ -229,10 +217,6 @@ class PlanCache:
 class PathQueryEngine:
     """Execute extended-GQL path queries over a property graph."""
 
-    #: How many per-version cost models are memoized (a serving engine sees a
-    #: rolling window of snapshot versions; older models age out LRU-style).
-    COST_MODEL_MEMO_SIZE = 8
-
     def __init__(
         self,
         graph: PropertyGraph,
@@ -254,7 +238,9 @@ class PathQueryEngine:
                 graphs for exploratory WALK queries).
             executor: Default execution strategy — ``"materialize"`` (the
                 bottom-up evaluator), ``"pipeline"`` (the pull-based iterator
-                pipeline) or ``"auto"`` (cost-based choice per plan).
+                pipeline), ``"automaton"`` (the product-graph search) or
+                ``"auto"`` (materialize a drained result; stream a limited one
+                and every cursor).
             plan_cache_size: Maximum number of parsed-and-optimized plans
                 memoized by the plan cache (``0`` disables caching).
             plan_cache: An externally owned cache to use instead of building a
@@ -273,7 +259,6 @@ class PathQueryEngine:
         self.default_executor = executor
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache(plan_cache_size)
         self._optimizer = Optimizer()
-        self._cost_models: OrderedDict[int, CostModel] = OrderedDict()
 
     # ------------------------------------------------------------------
     # Querying
@@ -297,14 +282,14 @@ class PathQueryEngine:
             limit: Produce at most this many paths.  The pipeline executor
                 pushes the limit into the plan (it stops pulling); the
                 materializing executor truncates after full evaluation.
+                Under ``"auto"`` a limit selects the pipeline.
             graph: Per-call override of the graph to execute against — the
                 engine's own graph or a
                 :class:`~repro.graph.snapshot.GraphSnapshot` of it, pinning
                 the query to one version while other threads keep mutating
-                (an unrelated graph is rejected: plan-cache keys and cost
-                models are version-keyed within one graph lineage).  Plan-cache
-                keys carry no version, so snapshot queries hit the same
-                entries as live queries.
+                (an unrelated graph is rejected, see :meth:`_target_graph`).
+                Plan-cache keys carry no version, so snapshot queries hit the
+                same entries as live queries.
             budget: Optional :class:`~repro.execution.QueryBudget` enforced
                 cooperatively throughout execution (deadline, visited-path
                 and result-size caps).  An exhausted budget raises
@@ -378,14 +363,15 @@ class PathQueryEngine:
         """Execute a query and return a streaming :class:`ResultCursor`.
 
         The cursor-shaped twin of :meth:`query` (same plan cache, same
-        parameter binding, same executor selection) with one behavioral
-        difference: under the pipeline executor nothing is materialized up
-        front — paths are pulled from the physical pipeline as the consumer
-        iterates, with a ``limit`` applied at the cursor boundary, so
-        fetching a handful of rows of a huge query touches a correspondingly
-        small part of the search space.  Under the materializing executor the
-        result is computed eagerly (that executor cannot terminate early) and
-        the cursor iterates it; the surface is identical either way.
+        parameter binding) with one behavioral difference: a cursor can stop
+        at any fetch, so ``"auto"`` runs it on the pipeline and nothing is
+        materialized up front — paths are pulled from the physical pipeline
+        as the consumer iterates, with a ``limit`` applied at the cursor
+        boundary, so fetching a handful of rows of a huge query touches a
+        correspondingly small part of the search space.  Under the
+        materializing executor the result is computed eagerly (that executor
+        cannot terminate early) and the cursor iterates it; the surface is
+        identical either way.
         """
         started = time.perf_counter()
         target = self._target_graph(graph)
@@ -394,7 +380,9 @@ class PathQueryEngine:
         plan_to_run = self._bound_plan(cached, params)
         if budget is not None:
             budget.checkpoint("optimize")
-        name = self.executor_for(cached, executor, target)
+        name = self._executor_knob(executor)
+        if name == "auto":
+            name = PipelineExecutor.name
         truncated: bool | None = None
         total_paths: int | None = None
         cursor_limit = limit
@@ -544,11 +532,11 @@ class PathQueryEngine:
     def _target_graph(self, graph: PropertyGraph | None) -> PropertyGraph:
         """Resolve a per-call ``graph`` override, rejecting foreign graphs.
 
-        The cost-model memo and the memoized ``auto`` choice are keyed by
-        *version* on the assumption that all versions belong to one graph
-        lineage; a snapshot of the engine's graph (or the graph itself)
-        satisfies that, an unrelated graph whose mutation counter happens to
-        coincide would silently cross-contaminate them.
+        An engine serves one graph lineage: the version a result reports —
+        and the service's result cache keys on — names data only within that
+        lineage.  A snapshot of the engine's graph (or the graph itself)
+        belongs to it; an unrelated graph whose mutation counter happens to
+        coincide would be indistinguishable from one of its versions.
         """
         if graph is None:
             return self.graph
@@ -565,79 +553,28 @@ class PathQueryEngine:
     # ------------------------------------------------------------------
     # Executor selection
     # ------------------------------------------------------------------
-    def select_executor(self, plan: Expression, graph: PropertyGraph | None = None) -> str:
-        """Return the executor name the ``"auto"`` policy picks for ``plan``."""
-        return choose_executor(plan, self.cost_model(graph))
-
-    def cost_model(self, graph: PropertyGraph | None = None) -> CostModel:
-        """The cost model for ``graph`` (default: the engine's graph), memoized per version.
-
-        A small window of versions is kept so a serving engine that answers
-        queries pinned to successive snapshots does not rebuild statistics on
-        every call; mutating the graph naturally ages old entries out.
-        """
-        target = graph if graph is not None else self.graph
-        version = target.version
-        model = self._cost_models.get(version)
-        if model is None:
-            model = CostModel(target)
-            self._cost_models[version] = model
-            while len(self._cost_models) > self.COST_MODEL_MEMO_SIZE:
-                self._cost_models.popitem(last=False)
-        else:
-            self._cost_models.move_to_end(version)
-        return model
-
     def executor_for(
-        self,
-        cached: CachedPlan,
-        executor: str | None = None,
-        graph: PropertyGraph | None = None,
+        self, plan: Expression, executor: str | None = None, limit: int | None = None
     ) -> str:
-        """Resolve an executor knob to a concrete name for ``cached``, memoizing ``auto``.
+        """Resolve an executor knob to a concrete name for a query over ``plan``.
 
-        The one place ``"auto"`` becomes an executor: every execution entry
-        point of this engine calls it, and so does the process-mode dispatcher
-        of :class:`~repro.service.QueryService` before it ships a task.
+        ``"auto"`` becomes :func:`~repro.engine.executor.choose_executor`'s
+        answer for ``limit``.  :meth:`query`, :meth:`query_plan`,
+        :meth:`execute_regex` and :meth:`explain` call it, and so does the
+        process-mode dispatcher of :class:`~repro.service.QueryService`
+        before it ships a task; :meth:`open_cursor` streams ``"auto"``.
         """
+        name = self._executor_knob(executor)
+        return choose_executor(plan, limit) if name == "auto" else name
+
+    def _executor_knob(self, executor: str | None) -> str:
+        """The per-call ``executor`` or the engine default, validated."""
         name = executor if executor is not None else self.default_executor
         if name not in EXECUTOR_NAMES:
             raise ValueError(
                 f"unknown executor {name!r}; expected one of {', '.join(EXECUTOR_NAMES)}"
             )
-        if name != "auto":
-            return name
-        target = graph if graph is not None else self.graph
-        version = target.version
-        if cached.auto_executor is None:
-            cached.auto_executor = self.select_executor(cached.optimized, graph)
-            cached.auto_version = version
-        elif cached.auto_version != version:
-            # One CachedPlan serves many versions; the executor choice is a
-            # cost-model decision, so revalidate it when the data the plan
-            # touches changed.  A stale choice is a
-            # performance (never a correctness) matter, so the unlocked
-            # read-modify-write here is a benign race — concurrent workers
-            # converge on a valid recent choice.
-            delta = self._lineage_delta(target, cached.auto_version, version)
-            if delta is None or delta.affects(cached.compute_footprint()):
-                cached.auto_executor = self.select_executor(cached.optimized, graph)
-            cached.auto_version = version
-        return cached.auto_executor
-
-    def _lineage_delta(self, target: PropertyGraph, from_version: int, to_version: int):
-        """Delta between two versions of the target's graph lineage (or ``None``)."""
-        root = getattr(target, "parent", target)
-        delta_between = getattr(root, "delta_between", None)
-        if delta_between is None:
-            return None
-        low, high = sorted((from_version, to_version))
-        return delta_between(low, high)
-
-    def _resolve(
-        self, executor: str | None, cached: CachedPlan, graph: PropertyGraph | None = None
-    ) -> Executor:
-        return resolve_executor(self.executor_for(cached, executor, graph))
+        return name
 
     # ------------------------------------------------------------------
     # Shared pipeline tail
@@ -683,7 +620,7 @@ class PathQueryEngine:
             # execution work starts.
             budget.checkpoint("optimize")
         phase_started = time.perf_counter()
-        chosen = self._resolve(executor, cached, target)
+        chosen = resolve_executor(self.executor_for(plan_to_run, executor, limit))
         execution: ExecutionResult = chosen.execute(
             plan_to_run,
             target,
@@ -728,13 +665,13 @@ class PathQueryEngine:
         return self._explain_cached(self._optimize_into(plan, dict.fromkeys(PHASES, 0.0)))
 
     def _explain_cached(self, cached: CachedPlan) -> ExplainResult:
-        chosen = self.executor_for(cached)
+        model = CostModel(self.graph)
         return ExplainResult(
             plan=cached.plan,
             optimized_plan=cached.optimized,
             applied_rules=list(cached.applied_rules),
-            estimated_cost=self.cost_model().estimate(cached.optimized),
-            estimated_cost_unoptimized=self.cost_model().estimate(cached.plan),
-            chosen_executor=chosen,
+            estimated_cost=model.estimate(cached.optimized),
+            estimated_cost_unoptimized=model.estimate(cached.plan),
+            chosen_executor=self.executor_for(cached.optimized),
             executor_policy=self.default_executor,
         )

@@ -16,13 +16,13 @@ and a :class:`~repro.graph.model.PropertyGraph` and produces an
   honours a ``limit`` by simply not pulling more paths (early termination);
 * ``AutomatonExecutor`` (:mod:`repro.engine.automaton`) — lazy BFS over the
   product of graph × NFA for ϕShortest closures; falls back to the
-  materializing evaluator on every other plan.
+  materializing evaluator on every other plan.  Only an explicit
+  ``executor="automaton"`` runs it.
 
-:func:`choose_executor` implements the ``"auto"`` policy: it consults the
-:class:`~repro.optimizer.cost.CostModel` for the fraction of estimated work
-spent inside blocking fix points and routes streaming-friendly plans to the
-pipeline, recursion-heavy plans to the materializing evaluator, and
-natively-supported ϕShortest-heavy plans to the product automaton.
+:func:`choose_executor` implements the ``"auto"`` policy on one fact — does
+the caller take the whole result?  A drained result runs the materializing
+evaluator (measured faster on every full result, recursive or not); a result
+the caller may cut short runs the pipeline, which stops pulling at the cut.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro.engine.physical import build_pipeline
 from repro.execution import ExecutionStatistics, QueryBudget
 from repro.graph.delta import QueryFootprint
 from repro.graph.model import PropertyGraph
-from repro.optimizer.cost import CostModel
 from repro.paths.pathset import PathSet
 
 __all__ = [
@@ -59,14 +58,6 @@ EXECUTOR_NAMES = ("auto", "materialize", "pipeline", "automaton")
 #: :mod:`repro.engine.automaton`; referenced by name here because that
 #: package builds on this module).
 AUTOMATON_EXECUTOR_NAME = "automaton"
-
-#: Above this fraction of estimated cost inside ϕ fix points, ``auto``
-#: considers a plan recursion-heavy and picks the materializing evaluator.
-RECURSIVE_COST_THRESHOLD = 0.5
-
-#: Above this fraction of estimated cost inside ϕShortest fix points, ``auto``
-#: routes a natively-supported plan to the product-automaton executor.
-SHORTEST_COST_THRESHOLD = 0.5
 
 
 @dataclass
@@ -211,30 +202,18 @@ class PipelineExecutor:
         )
 
 
-def choose_executor(plan: Expression, cost_model: CostModel) -> str:
-    """The ``"auto"`` policy: pick an executor name for ``plan``.
+def choose_executor(plan: Expression, limit: int | None = None) -> str:
+    """The ``"auto"`` policy: ``"pipeline"`` iff the caller may stop at ``limit`` rows.
 
-    Streaming-friendly plans (little or no estimated work inside blocking ϕ
-    fix points) go to the pipeline — they benefit from bounded memory and
-    from early termination under a ``limit``.  Recursion-heavy plans go to
-    the materializing evaluator: the fix point is blocking either way, and
-    materializing avoids the pipeline's per-path iterator overhead.
-
-    Plans dominated by ``ϕShortest`` fix points that the product-automaton
-    executor supports natively route there first, to its streaming level-BFS
-    on the product graph.  (On full SHORTEST closures the closure kernel is
-    measured faster — PERFORMANCE.md, "Automaton executor and streaming
-    SHORTEST"; the route is kept until the thresholds are re-cut.)
+    A result the caller drains runs the materializing evaluator, whatever
+    ``plan``'s shape: on full results it beats the pipeline's per-path
+    iterators and the automaton's product search alike (PERFORMANCE.md,
+    "One routing fact").  A limited result runs the pipeline, which stops
+    pulling at the limit.  Cursors can stop at any fetch, so
+    :meth:`~repro.engine.engine.PathQueryEngine.open_cursor` streams them
+    without asking.
     """
-    if cost_model.shortest_cost_fraction(plan) > SHORTEST_COST_THRESHOLD:
-        # Imported lazily: the automaton package builds on this module.
-        from repro.engine.automaton.decompile import plan_supported
-
-        if plan_supported(plan):
-            return AUTOMATON_EXECUTOR_NAME
-    if cost_model.recursive_cost_fraction(plan) > RECURSIVE_COST_THRESHOLD:
-        return MaterializeExecutor.name
-    return PipelineExecutor.name
+    return MaterializeExecutor.name if limit is None else PipelineExecutor.name
 
 
 def resolve_executor(name: str) -> Executor:

@@ -76,55 +76,6 @@ class CostModel:
         cardinality, cost = self._estimate(plan)
         return PlanCost(output_cardinality=cardinality, total_cost=cost)
 
-    def recursive_cost_fraction(self, plan: Expression) -> float:
-        """Fraction of ``plan``'s estimated cost spent inside blocking fix points.
-
-        Sums the estimated cost of every *maximal* ``Recursive`` subtree
-        (recursions nested inside another recursion are already covered by
-        their ancestor; a seeded closure counts as the selection that seeds
-        it) and divides by the plan's total estimated cost.  The
-        executor layer uses this plan-shape signal to decide between the
-        streaming pipeline (fraction low: the work is in streamable scans,
-        selections and joins) and the materializing evaluator (fraction high:
-        the work is dominated by inherently blocking recursion).
-        """
-        total = self.estimate(plan).total_cost
-        if total <= 0:
-            return 0.0
-        recursive_cost = sum(
-            self.estimate(subtree).total_cost
-            for subtree in self._maximal_recursive_subtrees(plan)
-        )
-        return min(recursive_cost / total, 1.0)
-
-    def _maximal_recursive_subtrees(self, plan: Expression) -> list[Expression]:
-        """``Recursive`` nodes, and seeded closures as the selection directly on their ϕ."""
-        if isinstance(plan, Recursive) or seeded_closure_input(plan) is not None:
-            return [plan]
-        found: list[Expression] = []
-        for child in plan.children():
-            found.extend(self._maximal_recursive_subtrees(child))
-        return found
-
-    def shortest_cost_fraction(self, plan: Expression) -> float:
-        """Fraction of ``plan``'s estimated cost inside ``ϕShortest`` fix points.
-
-        Same construction as :meth:`recursive_cost_fraction` but restricted to
-        maximal ``Recursive`` subtrees whose restrictor is ``SHORTEST`` — the
-        signal the executor layer uses to route SHORTEST-heavy plans to the
-        streaming product-automaton executor.
-        """
-        total = self.estimate(plan).total_cost
-        if total <= 0:
-            return 0.0
-        shortest_cost = sum(
-            self.estimate(subtree).total_cost
-            for subtree in self._maximal_recursive_subtrees(plan)
-            if (subtree if isinstance(subtree, Recursive) else subtree.child).restrictor
-            is Restrictor.SHORTEST
-        )
-        return min(shortest_cost / total, 1.0)
-
     def compare(self, left: Expression, right: Expression) -> int:
         """Return -1/0/+1 depending on which plan is estimated to be cheaper."""
         left_cost = self.estimate(left).total_cost

@@ -34,11 +34,8 @@ processes:
   :class:`WorkerDied` outcome; a replacement worker is forked either way.
 * **Concrete executors only.** Every task names the executor the parent
   already chose (:meth:`~repro.engine.engine.PathQueryEngine.executor_for`);
-  the dispatcher refuses ``"auto"``.  A worker engine therefore never
-  revalidates a memoized ``auto`` choice, so it never calls
-  ``delta_between`` and never takes the graph lock it inherited through
-  ``fork`` (whose owner may be a parent thread that does not exist in the
-  child).
+  the dispatcher refuses ``"auto"``, so a worker runs exactly the route
+  thread mode would have run for the same request and ``limit``.
 
 A note on clocks: task deadlines are *absolute* ``time.monotonic()`` values
 stamped in the parent.  ``CLOCK_MONOTONIC`` (and its macOS / Windows
@@ -593,8 +590,7 @@ class ProcessWorkerPool:
         """Run one query in the pool; blocks until its reply (or death) arrives.
 
         ``executor`` must be a concrete executor name: resolving ``"auto"``
-        is the parent engine's job, and a worker must never do it (see the
-        module docstring).
+        is the parent engine's job (see the module docstring).
         """
         if self._closed:
             raise ServiceError("process pool is closed")

@@ -897,7 +897,7 @@ class QueryService:
                     request.text, max_length=request.max_length, graph=request.snapshot
                 )
                 executor = engine.executor_for(
-                    cached_plan, request.executor, request.snapshot
+                    cached_plan.optimized, request.executor, request.limit
                 )
             # Workers forked before this request's version can't see its
             # data; drift forks a fresh generation (no-op on the read path).

@@ -322,7 +322,8 @@ class TestExplain:
         # The scan under it is the index lookup itself: nothing is read whole.
         assert "[full scan]" not in rendered
 
-    def test_expand_under_the_pipeline(self, engine) -> None:
+    def test_expand_under_the_pipeline(self, figure1) -> None:
+        engine = PathQueryEngine(figure1, executor="pipeline")
         explanation = engine.explain("MATCH ALL TRAIL p = (?x)-[Knows/Likes]->(?y)")
         assert explanation.chosen_executor == "pipeline"
         lines = explanation.render().splitlines()

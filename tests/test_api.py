@@ -100,8 +100,7 @@ class TestConnect:
         result = db.query("MATCH ALL TRAIL p = (?x)-[Knows]->(?y)")
         assert len(result.paths) == 4
 
-    def test_cost_model_and_snapshot(self, db) -> None:
-        assert db.cost_model() is db.engine.cost_model()
+    def test_snapshot_pins_the_live_version(self, db) -> None:
         snapshot = db.snapshot()
         assert snapshot.version == db.graph.version
 

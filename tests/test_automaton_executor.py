@@ -2,9 +2,10 @@
 
 Complements the three-way sweeps in ``test_differential.py`` with targeted
 coverage of the subsystem itself: the plan → regex decompiler and its
-SHORTEST-only classifier, cost-based selection, the evaluator fallback and its
-attribution, limit semantics, parity across graph encodings, the fork boundary
-of the process pool, and — the acceptance-criterion test — a cursor proving
+SHORTEST-only classifier, the explicit-only route (``auto`` never picks it),
+the evaluator fallback and its attribution, limit semantics, parity across
+graph encodings, the fork boundary of the process pool, and — the
+acceptance-criterion test — a cursor proving
 SHORTEST rows stream out *before* the closure could possibly have completed.
 """
 
@@ -16,7 +17,7 @@ from graph_corpus import closure_corpus, frozen_twin
 from repro.algebra.conditions import Comparator, prop_of_first
 from repro.algebra.expressions import NodesScan, Projection, Recursive, Selection, Union
 from repro.datasets.generators import complete_graph, cycle_graph
-from repro.engine.automaton import AutomatonExecutor, classify_plan, plan_supported
+from repro.engine.automaton import AutomatonExecutor, classify_plan
 from repro.engine.engine import PathQueryEngine
 from repro.engine.executor import (
     EXECUTOR_NAMES,
@@ -28,7 +29,6 @@ from repro.errors import BudgetExceeded
 from repro.execution import QueryBudget
 from repro.gql.planner import plan_text
 from repro.graph.model import PropertyGraph
-from repro.optimizer.cost import CostModel
 from repro.optimizer.engine import Optimizer
 from repro.optimizer.rules import WalkToShortest
 from repro.rpq.compile import CompileOptions, compile_regex
@@ -76,11 +76,9 @@ def test_classifier_rejects_out_of_envelope_plans() -> None:
     for plan in NOT_NATIVE:
         assert classify_plan(plan) is None, str(plan)
         assert classify_plan(plan, 4) is None, str(plan)
-        assert plan_supported(plan) is False, str(plan)
     # Nested recursion: the inner plan is not ϕ-free.
     nested = Recursive(_plan("Knows+", Restrictor.TRAIL, 2), Restrictor.SHORTEST, 2)
     assert classify_plan(nested) is None
-    assert plan_supported(nested) is False
     # A union whose right arm is not NodesScan is not the R* shape.
     assert classify_plan(Union(_plan("Knows+", Restrictor.SHORTEST, 2), NodesScan())) is not None
     assert classify_plan(Union(_plan("Knows+", Restrictor.SHORTEST, 2), _plan("Likes", Restrictor.WALK))) is None
@@ -102,15 +100,18 @@ def test_classifier_sees_all_shortest_with_and_without_its_crown() -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_auto_routes_shortest_heavy_native_plans_to_automaton() -> None:
-    graph = CORPUS[0]
-    cost_model = CostModel(graph)
-    assert choose_executor(_plan("(Knows|Likes)+", Restrictor.SHORTEST), cost_model) == "automaton"
-    # Non-SHORTEST recursion keeps its historical choice.
-    assert choose_executor(_plan("Knows+", Restrictor.TRAIL, None), cost_model) == "materialize"
-    # SHORTEST-heavy but out of envelope (nested ϕ): classical routing.
-    nested = Recursive(_plan("Knows+", Restrictor.TRAIL, 2), Restrictor.SHORTEST, 2)
-    assert choose_executor(nested, cost_model) != "automaton"
+def test_auto_never_routes_to_the_automaton() -> None:
+    """Native ϕShortest shapes route like every other plan: drained → materialize, limited → pipeline."""
+    engine = PathQueryEngine(CORPUS[0])
+    for plan in SHORTEST_SHAPES:
+        assert classify_plan(plan) is not None
+        assert choose_executor(plan) == "materialize"
+        assert choose_executor(plan, 10) == "pipeline"
+        assert engine.query_plan(plan).executor == "materialize"
+        assert engine.query_plan(plan, limit=3).executor == "pipeline"
+    text = "MATCH ALL SHORTEST p = (?x)-[(Knows|Likes)+]->(?y)"
+    assert engine.open_cursor(text, max_length=3).executor == "pipeline"
+    assert engine.explain(text, max_length=3).chosen_executor == "materialize"
 
 
 def test_engine_accepts_automaton_executor_name() -> None:
@@ -181,7 +182,7 @@ def _encodings(graph: PropertyGraph) -> dict[str, object]:
     }
 
 
-#: The three shapes ``auto`` sends to the automaton: plain, seeded and ``R*``.
+#: The three shapes the automaton searches natively: plain, seeded and ``R*``.
 SHORTEST_SHAPES = (
     _plan("(Knows|Likes)+", Restrictor.SHORTEST, None),
     Selection(prop_of_first("name", "p0", Comparator.NE), _plan("Knows+", Restrictor.SHORTEST, None)),
@@ -238,7 +239,7 @@ def test_shortest_cursor_streams_before_closure_completes() -> None:
     text = "MATCH ALL SHORTEST p = (?x)-[Knows+]->(?y)"
 
     budget = QueryBudget.from_timeout(3600.0, max_visited=120)
-    cursor = engine.open_cursor(text, max_length=23, budget=budget)
+    cursor = engine.open_cursor(text, max_length=23, executor="automaton", budget=budget)
     assert cursor.executor == "automaton"
     first_rows = cursor.fetchmany(4)
     assert len(first_rows) == 4
@@ -260,10 +261,20 @@ def test_pipeline_shortest_cursor_streams_before_closure_completes() -> None:
     The heap pops in non-decreasing length, so every popped path that
     survives domination is final and leaves the kernel at once.
     """
+    _assert_pipeline_cursor_streams(executor="pipeline")
+
+
+def test_auto_shortest_cursor_streams_through_the_pipeline() -> None:
+    """The ``auto`` twin: a cursor can stop at any fetch, so ``auto`` streams it."""
+    _assert_pipeline_cursor_streams(executor=None)
+
+
+def _assert_pipeline_cursor_streams(executor: str | None) -> None:
     engine = PathQueryEngine(cycle_graph(24))
     text = "MATCH ALL SHORTEST p = (?x)-[Knows+]->(?y)"
     budget = QueryBudget.from_timeout(3600.0, max_visited=120)
-    cursor = engine.open_cursor(text, max_length=23, executor="pipeline", budget=budget)
+    cursor = engine.open_cursor(text, max_length=23, executor=executor, budget=budget)
+    assert cursor.executor == "pipeline"
     first_rows = cursor.fetchmany(4)
     assert len(first_rows) == 4
     assert all(path.len() == 1 for path in first_rows)

@@ -128,10 +128,18 @@ class TestQueryCommand:
         assert "# 9 paths" in captured.out
 
     def test_query_limit(self, capsys) -> None:
-        code = main(["query", "--limit", "2", "MATCH ALL TRAIL p = (?x)-[Knows+]->(?y)"])
+        text = "MATCH ALL TRAIL p = (?x)-[Knows+]->(?y)"
+        # auto streams the cursor, so the limit cuts the pipeline short...
+        code = main(["query", "--limit", "2", text])
         captured = capsys.readouterr()
         assert code == 0
-        assert "more" in captured.out
+        assert "[pipeline executor]" in captured.out
+        assert "stopped after 2 paths" in captured.out
+        # ...while the materializing evaluator counts what it cut.
+        code = main(["query", "--executor", "materialize", "--limit", "2", text])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "# ... and 10 more" in captured.out
 
     def test_query_reports_optimizer_rewrites(self, capsys) -> None:
         code = main(["query", "MATCH ANY SHORTEST WALK p = (?x)-[:Knows]->+(?y)"])

@@ -15,6 +15,8 @@ from graph_corpus import closure_corpus
 from repro.algebra.expressions import EdgesScan, Join, Recursive, Selection
 from repro.algebra.conditions import label_of_edge
 from repro.datasets.figure1 import figure1_graph
+from repro.datasets.generators import cycle_graph
+from repro.engine import engine as engine_module
 from repro.engine.engine import PHASES, PathQueryEngine
 from repro.engine.executor import (
     MaterializeExecutor,
@@ -22,8 +24,11 @@ from repro.engine.executor import (
     choose_executor,
     resolve_executor,
 )
+from repro.errors import BudgetExceeded
+from repro.execution import QueryBudget
+from repro.graph import stats as graph_stats
 from repro.graph.model import PropertyGraph
-from repro.optimizer.cost import CostModel
+from repro.optimizer import cost as cost_module
 from repro.semantics.restrictors import Restrictor
 
 CORPUS: list[PropertyGraph] = closure_corpus()
@@ -72,35 +77,67 @@ class TestExecutorParity:
             assert materialized == pipelined, (graph.name, restrictor)
 
 
+#: A ϕ-free join and a ϕShortest closure: the two plan shapes the retired
+#: cost thresholds sent to different executors.
+AUTO_TEXTS = (
+    "MATCH ALL TRAIL p = (?x)-[Knows/Likes]->(?y)",
+    "MATCH ALL SHORTEST p = (?x)-[Knows]->+(?y)",
+)
+
+
 class TestAutoSelection:
     def test_auto_picks_pipeline_for_streaming_plan(self, figure1) -> None:
+        """A query that can stop early streams: any limit, and every cursor."""
         engine = PathQueryEngine(figure1)
-        result = engine.query("MATCH ALL TRAIL p = (?x)-[Knows]->(?y)")
-        assert result.executor == "pipeline"
+        for text in AUTO_TEXTS:
+            assert engine.query(text, limit=2).executor == "pipeline", text
+            assert engine.open_cursor(text).executor == "pipeline", text
+            assert engine.open_cursor(text, limit=2).executor == "pipeline", text
 
     def test_auto_picks_materialize_for_recursive_plan(self, figure1) -> None:
         engine = PathQueryEngine(figure1, default_max_length=6)
         result = engine.query("MATCH ALL TRAIL p = (?x)-[Knows+]->(?y)")
         assert result.executor == "materialize"
 
-    def test_choose_executor_uses_recursive_cost_fraction(self, figure1) -> None:
-        cost_model = CostModel(figure1)
-        knows = Selection(label_of_edge(1, "Knows"), EdgesScan())
-        assert choose_executor(Join(knows, knows), cost_model) == "pipeline"
-        assert choose_executor(Recursive(knows, Restrictor.TRAIL), cost_model) == "materialize"
+    def test_auto_materializes_every_drained_query(self, figure1, monkeypatch) -> None:
+        routes: list[str] = []
+        resolve = engine_module.resolve_executor
+        monkeypatch.setattr(
+            engine_module, "resolve_executor", lambda name: routes.append(name) or resolve(name)
+        )
+        engine = PathQueryEngine(figure1)
+        for text in AUTO_TEXTS:
+            assert engine.query(text).executor == "materialize", text
+            assert engine.query_plan(engine.prepare(text).optimized).executor == "materialize"
+        engine.execute_regex("Knows/Likes")
+        engine.execute_regex("Knows+", restrictor=Restrictor.SHORTEST)
+        assert routes == ["materialize"] * 6
+        engine.execute_regex("Knows+", restrictor=Restrictor.SHORTEST, limit=1)
+        assert routes[-1] == "pipeline"
 
-    def test_recursive_cost_fraction_bounds(self, figure1) -> None:
-        cost_model = CostModel(figure1)
+    def test_choose_executor_reads_only_the_limit(self, figure1) -> None:
         knows = Selection(label_of_edge(1, "Knows"), EdgesScan())
-        assert cost_model.recursive_cost_fraction(knows) == 0.0
-        fraction = cost_model.recursive_cost_fraction(Recursive(knows, Restrictor.TRAIL))
-        assert 0.5 < fraction <= 1.0
+        for plan in (knows, Join(knows, knows), Recursive(knows, Restrictor.SHORTEST)):
+            assert choose_executor(plan) == "materialize"
+            assert choose_executor(plan, None) == "materialize"
+            for limit in (0, 1, 10**6):
+                assert choose_executor(plan, limit) == "pipeline"
+
+    def test_limited_auto_closure_stops_inside_a_budget_the_closure_exceeds(self) -> None:
+        engine = PathQueryEngine(cycle_graph(24))
+        text = "MATCH ALL TRAIL p = (?x)-[Knows]->+(?y)"
+        result = engine.query(text, limit=5, budget=QueryBudget(max_visited=120))
+        assert result.executor == "pipeline"
+        assert len(result) == 5
+        assert result.truncated and result.total_paths is None
+        with pytest.raises(BudgetExceeded):
+            engine.query(text, budget=QueryBudget(max_visited=120))
 
     def test_explain_reports_chosen_executor(self, figure1) -> None:
         engine = PathQueryEngine(figure1)
         explanation = engine.explain("MATCH ALL TRAIL p = (?x)-[Knows]->(?y)")
-        assert explanation.chosen_executor == "pipeline"
-        assert "Executor (auto): pipeline" in explanation.render()
+        assert explanation.chosen_executor == "materialize"
+        assert "Executor (auto): materialize" in explanation.render()
 
     def test_explain_respects_fixed_executor(self, figure1) -> None:
         engine = PathQueryEngine(figure1, executor="materialize")
@@ -205,17 +242,26 @@ class TestPlanCache:
         assert second.phase_seconds["optimize"] == 0.0
         assert second.phase_seconds["execute"] > 0.0
 
-    def test_cache_hit_skips_auto_selection_too(self, figure1, monkeypatch) -> None:
+    def test_queries_never_compute_graph_statistics(self, figure1, monkeypatch) -> None:
+        """``auto`` routes without statistics: a query, a write in its footprint, the query again."""
+        calls: list[PropertyGraph] = []
+        compute = graph_stats.compute_statistics
+        spy = lambda graph: calls.append(graph) or compute(graph)  # noqa: E731
+        for module in (graph_stats, cost_module):
+            monkeypatch.setattr(module, "compute_statistics", spy)
         engine = PathQueryEngine(figure1)
         first = engine.query(self.TEXT)
-
-        def boom(plan):
-            raise AssertionError("auto selection must be memoized with the cached plan")
-
-        monkeypatch.setattr(engine, "select_executor", boom)
+        figure1.add_node("n99", "Person")
+        figure1.add_edge("e99", "n99", "n1", "Knows")
         second = engine.query(self.TEXT)
         assert second.cache_hit
-        assert second.executor == first.executor
+        assert len(second) == len(first) + 1
+        engine.query(self.TEXT, limit=1)
+        engine.open_cursor(self.TEXT).fetchall()
+        assert calls == []
+        # explain is the one caller left: one CostModel for its two estimates.
+        engine.explain(self.TEXT)
+        assert len(calls) == 1
 
     def test_mutation_reuses_plan_under_delta_invalidation(self, figure1) -> None:
         # Plans are pure functions of text + options, so the default delta

@@ -110,18 +110,22 @@ def test_process_mode_is_byte_identical_to_serial(index: int) -> None:
 class TestRouting:
     def test_router_single_dispatch_matches_auto_choice(self) -> None:
         """Process mode ships exactly one task per query, with the executor
-        the engine's ``auto`` policy picks in thread mode."""
+        the engine's ``auto`` policy picks in thread mode: drained requests
+        materialize, limited ones stream."""
         graph = figure1_graph()
         engine = PathQueryEngine(graph)
         with QueryService(
             graph, workers=2, execution_mode="processes", result_cache_size=0
         ) as service:
             outcomes = service.run_batch(list(QUERIES))
+            limited = service.run_batch(list(QUERIES), limit=1)
             stats = service.statistics()
-        for text, outcome in zip(QUERIES, outcomes):
+        for text, outcome, cut in zip(QUERIES, outcomes, limited):
             assert outcome.ok, (text, outcome.error)
-            assert outcome.executor == engine.select_executor(engine.prepare(text).optimized)
-        assert stats.pool["dispatched"] == len(QUERIES)
+            assert cut.ok, (text, cut.error)
+            assert outcome.executor == engine.query(text).executor == "materialize"
+            assert cut.executor == engine.query(text, limit=1).executor == "pipeline"
+        assert stats.pool["dispatched"] == 2 * len(QUERIES)
 
     def test_explicit_executor_is_never_raced(self) -> None:
         graph = figure1_graph()
@@ -362,8 +366,8 @@ class TestSnapshotIsolationAcrossFork:
 
 
 class TestPostForkGuard:
-    """Workers never revalidate an ``auto`` memo, so they never reach
-    ``delta_between`` and the graph lock a ``fork`` copied mid-flight."""
+    """Workers run the concrete executor the parent shipped, so they never
+    reach ``delta_between`` and the graph lock a ``fork`` copied mid-flight."""
 
     AUTO_QUERIES = QUERIES + ("MATCH ANY SHORTEST WALK p = (?x)-[Knows+]->(?y)",)
 
