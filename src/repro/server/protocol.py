@@ -23,15 +23,17 @@ budget semantics survive the wire.
 Rows are JSON binding records (:meth:`~repro.engine.results.PathBinding.to_dict`
 plus the canonical ``path`` rendering), byte-identical to what an in-process
 :class:`~repro.api.Session` produces for the same query at the same graph
-version — the server test suite's parity contract.
+version — the server test suite's parity contract.  A page's row array is
+encoded once (:func:`encode_rows`) and spliced into its frame
+(:func:`page_frame`), so the server can keep the array of a cached result
+and answer a repeat with the stored bytes.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
-from repro.engine.results import PathBinding
 from repro.errors import (
     BudgetExceeded,
     PathAlgebraError,
@@ -48,6 +50,8 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "row_from_path",
+    "encode_rows",
+    "page_frame",
     "error_frame",
     "budget_frame_fields",
     "raise_for_frame",
@@ -85,9 +89,13 @@ class RemoteQueryError(ServiceError):
         super().__init__(message)
 
 
+#: The one JSON dialect of the wire: sorted keys, compact separators.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def encode_frame(frame: Mapping[str, Any]) -> bytes:
     """Serialize one frame to a single JSONL line (sorted keys, compact)."""
-    return (json.dumps(frame, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_dumps(frame) + "\n").encode("utf-8")
 
 
 def decode_frame(line: bytes | str) -> dict:
@@ -111,11 +119,40 @@ def row_from_path(path: Path) -> dict:
     The binding record (source/target/length/nodes/edges/labels) plus the
     canonical ``path`` rendering — ``str(path)`` is the same string the
     in-process parity suites compare, so a client can diff wire results
-    against local ones byte for byte.
+    against local ones byte for byte.  Built directly rather than through
+    :class:`~repro.engine.results.PathBinding`, whose
+    :meth:`~repro.engine.results.PathBinding.to_dict` stays the definition
+    (the protocol tests hold the two equal).
     """
-    row = PathBinding.from_path(path).to_dict()
-    row["path"] = str(path)
-    return row
+    nodes = path.node_ids
+    edges = path.edge_ids
+    edge = path.graph.edge
+    return {
+        "source": nodes[0],
+        "target": nodes[-1],
+        "length": len(edges),
+        "nodes": list(nodes),
+        "edges": list(edges),
+        "labels": [edge(edge_id).label for edge_id in edges],
+        "path": str(path),
+    }
+
+
+def encode_rows(paths: Iterable[Path]) -> bytes:
+    """The JSON row array of ``paths``, in the order given, as page bytes."""
+    return _dumps([row_from_path(path) for path in paths]).encode("utf-8")
+
+
+def page_frame(request_id: Any, rows_json: bytes) -> bytes:
+    """One ``page`` frame around an :func:`encode_rows` array.
+
+    Byte-identical to ``encode_frame({"type": "page", "id": request_id,
+    "rows": rows})``: the keys sort as ``id < rows < type``.
+    """
+    return b'{"id":%s,"rows":%s,"type":"page"}\n' % (
+        _dumps(request_id).encode("utf-8"),
+        rows_json,
+    )
 
 
 def error_frame(

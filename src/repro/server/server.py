@@ -30,9 +30,14 @@ Queries take one of two routes, chosen by the client's ``stream`` flag:
   socket) suspends the producing coroutine at ``drain()``, so a slow client
   throttles its own query rather than ballooning server memory.
 
-All blocking work (``ticket.result()``, ``cursor.fetchmany()``) runs in the
-event loop's default executor — the loop itself only parses frames and
-writes bytes.
+The loop itself only parses frames and writes bytes.  A service query
+parks no thread while it waits: its ticket's done-callback settles a loop
+future through ``call_soon_threadsafe``, and the answer goes out as one
+``write`` of its ``page`` and ``done`` frames.  The page's row array is
+memoized on the service outcome (:class:`~repro.service.service.WireRows`),
+so a result-cache hit re-sends stored bytes instead of re-encoding rows.
+The blocking calls that remain (``cursor.fetchmany()``, ``prepare``) run in
+the event loop's default executor.
 
 Lifecycle
 ---------
@@ -71,10 +76,13 @@ from repro.server.protocol import (
     budget_frame_fields,
     decode_frame,
     encode_frame,
+    encode_rows,
     error_frame,
+    page_frame,
     row_from_path,
 )
 from repro.service.latency import LatencyHistogram
+from repro.service.service import QueryOutcome, QueryTicket
 
 __all__ = ["ReproServer"]
 
@@ -104,6 +112,31 @@ _HTTP_REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+async def _outcome_of(ticket: QueryTicket) -> QueryOutcome:
+    """Await a service ticket on the running loop without parking a thread.
+
+    The ticket's callback runs on the service worker that resolves it and
+    hands the outcome to the loop.  A future cancelled meanwhile (the
+    connection went away) or a closed loop (the server stopped) makes the
+    hand-over a no-op, so nothing raises into the worker.
+    """
+    loop = asyncio.get_running_loop()
+    future = loop.create_future()
+
+    def settle(outcome: QueryOutcome) -> None:
+        if not future.done():
+            future.set_result(outcome)
+
+    def hand_over(outcome: QueryOutcome) -> None:
+        try:
+            loop.call_soon_threadsafe(settle, outcome)
+        except RuntimeError:  # the loop is closed; nobody is waiting
+            pass
+
+    ticket.add_done_callback(hand_over)
+    return await future
 
 
 class _Connection:
@@ -553,7 +586,6 @@ class ReproServer:
         options: Mapping[str, Any],
     ) -> None:
         service = self.database.service()
-        loop = asyncio.get_running_loop()
         try:
             ticket = service.try_submit(
                 text,
@@ -579,7 +611,7 @@ class ReproServer:
                 ),
             )
             return
-        outcome = await loop.run_in_executor(None, ticket.result)
+        outcome = await _outcome_of(ticket)
         if outcome.timed_out:
             with self._stats_lock:
                 self._errors += 1
@@ -603,24 +635,25 @@ class ReproServer:
                 self._errors += 1
             await self._send(writer, error_frame(request_id, "query", outcome.error))
             return
-        rows = [row_from_path(path) for path in outcome.paths.sorted()]
+        memo = outcome.wire_rows
+        if memo.data is None:
+            memo.data = encode_rows(outcome.paths.sorted())
+        count = len(outcome.paths)
         with self._stats_lock:
-            self._rows_sent += len(rows)
-        await self._send(writer, {"type": "page", "id": request_id, "rows": rows})
-        await self._send(
-            writer,
-            {
-                "type": "done",
-                "id": request_id,
-                "count": len(rows),
-                "version": outcome.version,
-                "executor": outcome.executor,
-                "elapsed_seconds": outcome.elapsed_seconds,
-                "queued_seconds": outcome.queued_seconds,
-                "plan_cache_hit": outcome.plan_cache_hit,
-                "result_cache_hit": outcome.result_cache_hit,
-            },
-        )
+            self._rows_sent += count
+        done = {
+            "type": "done",
+            "id": request_id,
+            "count": count,
+            "version": outcome.version,
+            "executor": outcome.executor,
+            "elapsed_seconds": outcome.elapsed_seconds,
+            "queued_seconds": outcome.queued_seconds,
+            "plan_cache_hit": outcome.plan_cache_hit,
+            "result_cache_hit": outcome.result_cache_hit,
+        }
+        writer.write(page_frame(request_id, memo.data) + encode_frame(done))
+        await writer.drain()
 
     async def _run_streaming(
         self,
@@ -678,14 +711,14 @@ class ReproServer:
                     return
                 if not paths:
                     break
-                rows = [row_from_path(path) for path in paths]
-                count += len(rows)
+                count += len(paths)
                 with self._stats_lock:
                     self._streamed_pages += 1
-                    self._rows_sent += len(rows)
+                    self._rows_sent += len(paths)
                 # drain() is where TCP back-pressure suspends this stream —
                 # and where a client disconnect surfaces as ConnectionError.
-                await self._send(writer, {"type": "page", "id": request_id, "rows": rows})
+                writer.write(page_frame(request_id, encode_rows(paths)))
+                await writer.drain()
             await self._send(
                 writer,
                 {
@@ -778,7 +811,6 @@ class ReproServer:
         self._idle.clear()
         try:
             service = self.database.service()
-            loop = asyncio.get_running_loop()
             try:
                 ticket = service.try_submit(
                     text,
@@ -798,7 +830,7 @@ class ReproServer:
                     {"error": str(error), "pending": error.pending, "capacity": error.capacity},
                 )
                 return
-            outcome = await loop.run_in_executor(None, ticket.result)
+            outcome = await _outcome_of(ticket)
             if outcome.timed_out:
                 with self._stats_lock:
                     self._errors += 1

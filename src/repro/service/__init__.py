@@ -19,7 +19,6 @@ queries concurrently" and "Process-parallel execution"):
 
 from repro.service.cache import StripedLRUCache
 from repro.service.latency import LatencyHistogram
-from repro.service.procpool import ProcessWorkerPool, WorkerDied
 from repro.service.service import (
     QueryOutcome,
     QueryService,
@@ -37,3 +36,13 @@ __all__ = [
     "ProcessWorkerPool",
     "WorkerDied",
 ]
+
+
+def __getattr__(name: str):
+    # The process pool loads on first use, so thread-mode processes never
+    # import it (or multiprocessing).
+    if name in ("ProcessWorkerPool", "WorkerDied"):
+        from repro.service import procpool
+
+        return getattr(procpool, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,8 @@ serving workloads where queries and graph mutations interleave:
   :class:`~repro.execution.QueryBudget` from the request's absolute deadline
   and threads it through the engine, so a runaway recursion dies within one
   budget-check interval instead of occupying the worker past its deadline.
-  :meth:`QueryTicket.result` delivers the outcome (a future-like handoff),
+  :meth:`QueryTicket.result` delivers the outcome (a future-like handoff;
+  :meth:`QueryTicket.add_done_callback` is its non-blocking form),
   and :meth:`run_batch` is the synchronous convenience wrapper.
 * **Shared caches** — all workers share one lock-striped
   :class:`~repro.service.cache.StripedLRUCache` of parsed-and-optimized plans
@@ -44,11 +45,12 @@ and wall clocks can jump, so one monotonic clock is used for everything.
 
 from __future__ import annotations
 
+import logging
 import queue as queue_module
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.engine.engine import PathQueryEngine
 from repro.engine.executor import EXECUTOR_NAMES
@@ -61,12 +63,9 @@ from repro.graph.snapshot import GraphSnapshot
 from repro.paths.pathset import PathSet
 from repro.service.cache import StripedLRUCache
 from repro.service.latency import LatencyHistogram
-from repro.service.procpool import (
-    CRASH_QUERY,
-    ProcessWorkerPool,
-    WorkerDied,
-    decode_paths,
-)
+
+if TYPE_CHECKING:
+    from repro.service.procpool import ProcessWorkerPool, WorkerDied
 
 __all__ = ["QueryOutcome", "QueryTicket", "ServiceStatistics", "QueryService"]
 
@@ -76,6 +75,8 @@ EXECUTION_MODES = ("threads", "processes")
 
 #: Queue sentinel that tells a worker thread to exit.
 _SHUTDOWN = object()
+
+_log = logging.getLogger(__name__)
 
 
 def _params_tuple(params: Mapping[str, Any] | None) -> tuple | None:
@@ -93,6 +94,24 @@ def _params_tuple(params: Mapping[str, Any] | None) -> tuple | None:
     except TypeError:
         return None
     return items
+
+
+class WireRows:
+    """A one-slot memo for the wire encoding of one computed result.
+
+    The network server stores the result's encoded row array here the first
+    time it sends it (:func:`repro.server.protocol.encode_rows`), and every
+    result-cache hit carries the same holder, so a hit is answered with the
+    stored bytes.  Rows hold node/edge ids and edge labels only, and the
+    graph is append-only, so the bytes are a pure function of the path set;
+    a recomputed entry brings a fresh, empty holder, so the memo needs no
+    invalidation beyond the result cache's own.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self) -> None:
+        self.data: bytes | None = None
 
 
 @dataclass(frozen=True)
@@ -135,6 +154,9 @@ class QueryOutcome:
         worker_died: Typed attribution when the worker process executing the
             query died and the task could not be salvaged by a requeue
             (``None`` otherwise).  Such outcomes also carry ``error``.
+        wire_rows: The :class:`WireRows` memo of ``paths``: one per computed
+            outcome, shared with its result-cache entry and every hit served
+            from it (in-process callers never fill it).
     """
 
     text: str
@@ -154,6 +176,7 @@ class QueryOutcome:
     queued_seconds: float = 0.0
     worker: str = ""
     worker_died: WorkerDied | None = None
+    wire_rows: WireRows = field(default_factory=WireRows, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -182,11 +205,13 @@ class QueryOutcome:
 class QueryTicket:
     """A future-like handle to one submitted query."""
 
-    __slots__ = ("_event", "_outcome")
+    __slots__ = ("_event", "_outcome", "_lock", "_callbacks")
 
     def __init__(self) -> None:
         self._event = threading.Event()
         self._outcome: QueryOutcome | None = None
+        self._lock = threading.Lock()
+        self._callbacks: list[Callable[[QueryOutcome], None]] = []
 
     def done(self) -> bool:
         """``True`` once the outcome is available."""
@@ -204,9 +229,36 @@ class QueryTicket:
         assert self._outcome is not None
         return self._outcome
 
+    def add_done_callback(self, fn: Callable[[QueryOutcome], None]) -> None:
+        """Call ``fn(outcome)`` exactly once, when the outcome is available.
+
+        Registered before the query finishes, ``fn`` runs on the thread that
+        resolves the ticket (a service worker, or the submitter in inline
+        mode); registered after, it runs at once on the caller's thread.  An
+        exception ``fn`` raises is logged and goes no further, so a callback
+        can never kill a service worker.
+        """
+        with self._lock:
+            if self._outcome is None:
+                self._callbacks.append(fn)
+                return
+            outcome = self._outcome
+        _run_callback(fn, outcome)
+
     def _resolve(self, outcome: QueryOutcome) -> None:
-        self._outcome = outcome
+        with self._lock:
+            self._outcome = outcome
+            callbacks, self._callbacks = self._callbacks, []
         self._event.set()
+        for fn in callbacks:
+            _run_callback(fn, outcome)
+
+
+def _run_callback(fn: Callable[[QueryOutcome], None], outcome: QueryOutcome) -> None:
+    try:
+        fn(outcome)
+    except Exception:  # a worker thread must outlive any callback
+        _log.exception("query ticket callback %r raised", fn)
 
 
 @dataclass(frozen=True)
@@ -484,6 +536,10 @@ class QueryService:
         ]
         self._pool: ProcessWorkerPool | None = None
         if execution_mode == "processes":
+            # Imported on demand: a thread-mode process never loads the pool
+            # or multiprocessing (~0.5 MiB resident).
+            from repro.service.procpool import ProcessWorkerPool
+
             options = dict(pool_options or {})
             options.setdefault("plan_cache_size", plan_cache_size)
             # Pool capacity == the dispatcher thread count, so every
@@ -851,6 +907,8 @@ class QueryService:
         )
         # Cache a private copy of the path set — the outcome handed to the
         # submitting caller must not alias the cached entry (see the hit path).
+        # The copy shares the outcome's wire_rows memo: the bytes a server
+        # encodes for this miss answer every later hit.
         if params_tuple is not None:
             self.result_cache.put(
                 key,
@@ -884,6 +942,8 @@ class QueryService:
         and the cached entry's footprint comes from the parent's plan, so
         PR 6's delta invalidation behaves identically to thread mode.
         """
+        from repro.service.procpool import CRASH_QUERY, decode_paths
+
         params = params_tuple if params_tuple is not None else ()
         try:
             if self._pool.crash_hook and request.text == CRASH_QUERY:

@@ -15,6 +15,9 @@ against the corresponding snapshots.  The suite locks that down three ways:
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -471,6 +474,26 @@ class TestServiceAPI:
         assert stats.workers == 2
         assert stats.backend == "thread"
         assert stats.result_cache["hits"] == stats.result_cache_served
+
+    def test_thread_mode_never_loads_the_process_pool(self) -> None:
+        """A thread-mode server process pays no resident memory for the pool."""
+        script = (
+            "import sys, repro\n"
+            "from repro.datasets.figure1 import figure1_graph\n"
+            "db = repro.connect(figure1_graph())\n"
+            f"assert db.service().submit({self.TEXT!r}).result().ok\n"
+            "db.close()\n"
+            "loaded = {'multiprocessing', 'repro.service.procpool'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+            "from repro.service import ProcessWorkerPool, WorkerDied\n"
+            "assert ProcessWorkerPool.__module__ == 'repro.service.procpool'\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestDeadlineKillPath:
