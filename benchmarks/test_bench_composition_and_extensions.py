@@ -3,7 +3,7 @@
 The paper's composability claim is architectural rather than experimental;
 this added experiment exercises it end to end: the Section 2.3 concatenation
 example, union composition, and the intersection/difference operators the
-paper lists as natural extensions, all measured on Figure 1 and on a
+paper lists as natural extensions, all run on Figure 1 and on a
 synthetic SNB-like graph.  It also compares the materializing logical
 evaluator with the pull-based physical pipeline on the same plans.
 """
@@ -40,49 +40,49 @@ def snb_graph():
     return ldbc_like_graph(LDBCParameters(num_persons=60, num_messages=120, seed=17))
 
 
-def test_composition_paper_example_figure1(benchmark, figure1) -> None:
+def test_composition_paper_example_figure1(figure1) -> None:
     query = paper_example_composition(knows_scan(), likes_creator_scan())
-    result = benchmark(evaluate_composition, query, figure1)
+    result = evaluate_composition(query, figure1)
     assert len(result) > 0
     assert all(is_trail(path) for path in result)
 
 
-def test_composition_paper_example_snb(benchmark, snb_graph) -> None:
+def test_composition_paper_example_snb(snb_graph) -> None:
     query = compose_concatenation(
         Selector(SelectorKind.ALL_SHORTEST),
         Restrictor.TRAIL,
         QueryStep(Selector(SelectorKind.ANY_SHORTEST), Restrictor.WALK, knows_scan()),
         QueryStep(Selector(SelectorKind.ALL), Restrictor.ACYCLIC, likes_creator_scan(), max_length=4),
     )
-    result = benchmark(evaluate_composition, query, snb_graph)
+    result = evaluate_composition(query, snb_graph)
     assert all(is_trail(path) for path in result)
 
 
-def test_intersection_operator(benchmark, figure1) -> None:
+def test_intersection_operator(figure1) -> None:
     plan = Intersection(
         Recursive(knows_scan(), Restrictor.TRAIL), Recursive(knows_scan(), Restrictor.ACYCLIC)
     )
-    result = benchmark(evaluate_to_paths, plan, figure1)
+    result = evaluate_to_paths(plan, figure1)
     assert len(result) == 7
 
 
-def test_difference_operator(benchmark, figure1) -> None:
+def test_difference_operator(figure1) -> None:
     plan = Difference(
         Recursive(knows_scan(), Restrictor.TRAIL), Recursive(knows_scan(), Restrictor.ACYCLIC)
     )
-    result = benchmark(evaluate_to_paths, plan, figure1)
+    result = evaluate_to_paths(plan, figure1)
     assert len(result) == 5
 
 
-def test_logical_evaluator_on_snb(benchmark, snb_graph) -> None:
+def test_logical_evaluator_on_snb(snb_graph) -> None:
     plan = Recursive(knows_scan(), Restrictor.ACYCLIC, max_length=4)
-    result = benchmark(evaluate_to_paths, plan, snb_graph)
+    result = evaluate_to_paths(plan, snb_graph)
     assert len(result) > 0
 
 
-def test_physical_pipeline_on_snb(benchmark, snb_graph) -> None:
+def test_physical_pipeline_on_snb(snb_graph) -> None:
     plan = Recursive(knows_scan(), Restrictor.ACYCLIC, max_length=4)
-    result = benchmark(execute_pipeline, plan, snb_graph)
+    result = execute_pipeline(plan, snb_graph)
     assert result == evaluate_to_paths(plan, snb_graph)
 
 

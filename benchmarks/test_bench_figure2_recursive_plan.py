@@ -4,9 +4,8 @@ Regenerates Figure 2: the algebraic plan
 ``σ[first.name='Moe' ∧ last.name='Apu']( ϕ(Knows) ∪ ϕ(Likes ⋈ Has_creator) )``
 is built exactly as drawn, evaluated under ϕSimple (the paper explains that
 the default ϕWalk does not terminate on this cyclic graph), and the result is
-checked against the two simple paths the introduction quotes.  The benchmark
-measures plan evaluation through the GQL front end and through a hand-built
-plan.
+checked against the two simple paths the introduction quotes, both through
+the GQL front end and through a hand-built plan.
 """
 
 from __future__ import annotations
@@ -43,18 +42,17 @@ def figure2_plan(restrictor: Restrictor) -> Selection:
     )
 
 
-def test_figure2_hand_built_plan(benchmark, figure1) -> None:
+def test_figure2_hand_built_plan(figure1) -> None:
     plan = figure2_plan(Restrictor.SIMPLE)
-    result = benchmark(evaluate_to_paths, plan, figure1)
+    result = evaluate_to_paths(plan, figure1)
     assert {path.interleaved() for path in result} == EXPECTED_PATHS
 
 
-def test_figure2_through_gql_front_end(benchmark, figure1) -> None:
-    # Plan caching is disabled so every iteration measures the full
-    # parse/plan/optimize/execute path (cache hits are measured separately
-    # by test_bench_executor_pipeline).
+def test_figure2_through_gql_front_end(figure1) -> None:
+    # Plan caching is disabled so the query runs the full
+    # parse/plan/optimize/execute path.
     engine = PathQueryEngine(figure1, plan_cache_size=0)
-    result = benchmark(lambda: engine.query(INTRO_QUERY))
+    result = engine.query(INTRO_QUERY)
     assert {path.interleaved() for path in result.paths} == EXPECTED_PATHS
 
 

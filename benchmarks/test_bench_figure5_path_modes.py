@@ -43,8 +43,8 @@ def figure5_plan() -> Projection:
     )
 
 
-def test_figure5_plan_answer(benchmark, figure1) -> None:
-    result = benchmark(evaluate_to_paths, figure5_plan(), figure1)
+def test_figure5_plan_answer(figure1) -> None:
+    result = evaluate_to_paths(figure5_plan(), figure1)
     expected_paths = {
         Path.from_interleaved(figure1, sequence) for sequence in EXPECTED_ANSWER.values()
     }
@@ -57,12 +57,11 @@ def test_figure5_plan_answer(benchmark, figure1) -> None:
     assert len(result) == len({path.endpoints() for path in result})
 
 
-def test_figure5_equivalent_gql_query(benchmark, figure1) -> None:
-    # Plan caching is disabled so every iteration measures the full
-    # parse/plan/optimize/execute path (cache hits are measured separately
-    # by test_bench_executor_pipeline).
+def test_figure5_equivalent_gql_query(figure1) -> None:
+    # Plan caching is disabled so the query runs the full
+    # parse/plan/optimize/execute path.
     engine = PathQueryEngine(figure1, plan_cache_size=0)
-    result = benchmark(lambda: engine.query("MATCH ANY SHORTEST TRAIL p = (?x)-[:Knows]->+(?y)"))
+    result = engine.query("MATCH ANY SHORTEST TRAIL p = (?x)-[:Knows]->+(?y)")
     for sequence in EXPECTED_ANSWER.values():
         assert Path.from_interleaved(figure1, sequence) in result.paths
 

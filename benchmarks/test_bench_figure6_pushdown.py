@@ -4,9 +4,8 @@ Regenerates Figure 6: the unoptimized plan 6a
 ``σ[first.name='Moe'](σKnows(E) ⋈ σKnows(E))`` and the optimized plan 6b with
 the selection pushed into the left join input.  The harness verifies the
 rewrite produces exactly the 6b shape, that both plans return the same
-answer, and that the pushdown reduces intermediate results; the benchmark
-measures both plans on Figure 1 and on a larger synthetic SNB-like graph so
-the speedup is visible.
+answer, and that the pushdown reduces intermediate results, on Figure 1 and
+on a larger synthetic SNB-like graph.
 """
 
 from __future__ import annotations
@@ -43,32 +42,32 @@ def test_figure6_rewrite_shape() -> None:
     assert isinstance(rewritten.left.child, Selection)  # the Knows label scan below
 
 
-def test_figure6_unoptimized_figure1(benchmark, figure1) -> None:
-    result = benchmark(evaluate_to_paths, figure6a_plan(), figure1)
+def test_figure6_unoptimized_figure1(figure1) -> None:
+    result = evaluate_to_paths(figure6a_plan(), figure1)
     assert {path.interleaved() for path in result} == {
         ("n1", "e1", "n2", "e2", "n3"),
         ("n1", "e1", "n2", "e4", "n4"),
     }
 
 
-def test_figure6_optimized_figure1(benchmark, figure1) -> None:
+def test_figure6_optimized_figure1(figure1) -> None:
     optimized = optimize(figure6a_plan()).optimized
-    result = benchmark(evaluate_to_paths, optimized, figure1)
+    result = evaluate_to_paths(optimized, figure1)
     assert {path.interleaved() for path in result} == {
         ("n1", "e1", "n2", "e2", "n3"),
         ("n1", "e1", "n2", "e4", "n4"),
     }
 
 
-def test_figure6_unoptimized_snb(benchmark, snb_graph) -> None:
-    result = benchmark(evaluate_to_paths, figure6a_plan(), snb_graph)
+def test_figure6_unoptimized_snb(snb_graph) -> None:
+    result = evaluate_to_paths(figure6a_plan(), snb_graph)
     optimized_result = evaluate_to_paths(optimize(figure6a_plan()).optimized, snb_graph)
     assert result == optimized_result
 
 
-def test_figure6_optimized_snb(benchmark, snb_graph) -> None:
+def test_figure6_optimized_snb(snb_graph) -> None:
     optimized = optimize(figure6a_plan()).optimized
-    result = benchmark(evaluate_to_paths, optimized, snb_graph)
+    result = evaluate_to_paths(optimized, snb_graph)
     assert len(result) >= 0
 
 

@@ -1,19 +1,17 @@
-"""E-S3 — restrictor cost profile: pruning inside ϕ vs. enumerate-then-filter.
+"""E-S3 — restrictor profile: pruning inside ϕ vs. enumerate-then-filter.
 
-The design decision under test (PERFORMANCE.md, "The closure execution
-model"): the production evaluator prunes non-conforming paths *during* the
-fix point, while the reference strategy enumerates bounded
-walks and filters afterwards.  This experiment measures both strategies for
-each restrictor on cyclic graphs, layered DAGs and dense cliques of
-increasing size, asserts they agree, and reports how the restrictor choice
-affects the result size (the shape the paper's Section 4 discussion predicts:
-Walk ⊇ Trail ⊇ Acyclic, Shortest smallest).
+The design decision under test (PERFORMANCE.md, "The closure kernel"): the
+production evaluator prunes non-conforming paths *during* the fix point,
+while the reference strategy enumerates bounded walks and filters
+afterwards.  This experiment runs both strategies for each restrictor on
+cyclic graphs, layered DAGs and dense cliques of increasing size, asserts
+they agree, and reports how the restrictor choice affects the result size
+(the shape the paper's Section 4 discussion predicts: Walk ⊇ Trail ⊇
+Acyclic, Shortest smallest).
 
 The clique tier stresses the restrictor *checks* themselves: almost every
-frontier extension is rejected, which is exactly the case the incremental
-closure engine (PERFORMANCE.md) turns from an O(path length) re-scan into an
-O(1) probe.  The smallest size of every tier carries the ``quick`` marker and
-is the only size run under ``BENCH_QUICK=1``.
+frontier extension is rejected, which is exactly the case the closure kernel
+turns from an O(path length) re-scan into an O(1) probe.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import pytest
 
 from repro.baselines.closure import recursive_closure_baseline
 from repro.bench.reporting import format_table
-from repro.bench.workloads import select_sizes
 from repro.datasets.generators import complete_graph, cycle_graph, layered_graph
 from repro.paths.pathset import PathSet
 from repro.semantics.restrictors import (
@@ -35,15 +32,6 @@ CYCLE_SIZES = (4, 8, 16)
 CLIQUE_SIZES = (4, 5, 6)
 POSTFILTER_BOUND = 8
 RESTRICTORS = (Restrictor.TRAIL, Restrictor.ACYCLIC, Restrictor.SIMPLE, Restrictor.SHORTEST)
-
-
-def _sized_params(sizes):
-    """Mark the smallest size of a tier as the quick-mode representative."""
-    selected = select_sizes(sizes)
-    return [
-        pytest.param(size, marks=pytest.mark.quick) if index == 0 else size
-        for index, size in enumerate(selected)
-    ]
 
 
 @pytest.fixture(scope="module")
@@ -61,24 +49,24 @@ def dag_base():
     return PathSet.edges_of(layered_graph(layers=5, width=4, fanout=2, seed=3))
 
 
-@pytest.mark.parametrize("size", _sized_params(CYCLE_SIZES))
+@pytest.mark.parametrize("size", CYCLE_SIZES)
 @pytest.mark.parametrize("restrictor", RESTRICTORS, ids=[r.value for r in RESTRICTORS])
-def test_pruned_closure_on_cycles(benchmark, cycle_bases, size, restrictor) -> None:
+def test_pruned_closure_on_cycles(cycle_bases, size, restrictor) -> None:
     base = cycle_bases[size]
-    result = benchmark(recursive_closure, base, restrictor)
+    result = recursive_closure(base, restrictor)
     assert len(result) > 0
 
 
-@pytest.mark.parametrize("size", _sized_params(CLIQUE_SIZES))
+@pytest.mark.parametrize("size", CLIQUE_SIZES)
 @pytest.mark.parametrize("restrictor", RESTRICTORS, ids=[r.value for r in RESTRICTORS])
-def test_pruned_closure_on_cliques(benchmark, clique_bases, size, restrictor) -> None:
+def test_pruned_closure_on_cliques(clique_bases, size, restrictor) -> None:
     """Dense tier: out-degree n-1 everywhere, so restrictor checks dominate.
 
     The bound ``n - 1`` covers every acyclic/simple path and keeps the Trail
     closure tractable on the larger cliques.
     """
     base = clique_bases[size]
-    result = benchmark(recursive_closure, base, restrictor, size - 1)
+    result = recursive_closure(base, restrictor, size - 1)
     assert len(result) > 0
 
 
@@ -93,17 +81,17 @@ def test_incremental_equals_baseline_on_largest_clique(clique_bases, restrictor)
 
 
 @pytest.mark.parametrize("restrictor", RESTRICTORS, ids=[r.value for r in RESTRICTORS])
-def test_postfilter_closure_on_cycle8(benchmark, cycle_bases, restrictor) -> None:
+def test_postfilter_closure_on_cycle8(cycle_bases, restrictor) -> None:
     """The enumerate-then-filter strategy pays the walk-closure cost regardless of restrictor."""
     base = cycle_bases[8]
-    result = benchmark(recursive_closure_postfilter, base, restrictor, POSTFILTER_BOUND)
+    result = recursive_closure_postfilter(base, restrictor, POSTFILTER_BOUND)
     pruned = recursive_closure(base, restrictor, max_length=POSTFILTER_BOUND)
     assert result == pruned
 
 
 @pytest.mark.parametrize("restrictor", RESTRICTORS, ids=[r.value for r in RESTRICTORS])
-def test_pruned_closure_on_dag(benchmark, dag_base, restrictor) -> None:
-    result = benchmark(recursive_closure, dag_base, restrictor)
+def test_pruned_closure_on_dag(dag_base, restrictor) -> None:
+    result = recursive_closure(dag_base, restrictor)
     assert len(result) > 0
 
 

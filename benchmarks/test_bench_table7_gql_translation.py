@@ -4,8 +4,7 @@ Regenerates Table 7: for every selector combined with the WALK restrictor the
 harness builds the algebra expression the table prescribes, checks its
 notation, and evaluates it on the Figure 1 graph; the remaining 21
 selector × restrictor combinations (Section 6 says all 28 are expressible)
-are also planned and executed.  The benchmark measures plan construction plus
-evaluation per combination.
+are also planned and executed.
 """
 
 from __future__ import annotations
@@ -57,32 +56,24 @@ def _selectors() -> list[Selector]:
 
 
 @pytest.mark.parametrize("selector", _selectors(), ids=[str(s) for s in _selectors()])
-def test_table7_walk_row(benchmark, figure1, selector) -> None:
-    def plan_and_run():
-        plan = translate_selector_restrictor(
-            selector, Restrictor.WALK, knows_scan(), already_recursive=False, max_length=WALK_BOUND
-        )
-        return plan, evaluate_to_paths(plan, figure1)
-
-    plan, result = benchmark(plan_and_run)
+def test_table7_walk_row(figure1, selector) -> None:
+    plan = translate_selector_restrictor(
+        selector, Restrictor.WALK, knows_scan(), already_recursive=False, max_length=WALK_BOUND
+    )
+    result = evaluate_to_paths(plan, figure1)
     expected = TABLE7_EXPECTED_NOTATION[str(selector)].replace("RE", RE_NOTATION)
     assert to_algebra_notation(plan) == expected
     assert len(result) > 0
 
 
-def test_table7_all_28_combinations(benchmark, figure1) -> None:
+def test_table7_all_28_combinations(figure1) -> None:
     """All 28 selector × restrictor combinations plan and evaluate (Section 6)."""
-
-    def run_all():
-        results = {}
-        for selector, restrictor in all_selector_restrictor_combinations():
-            plan = translate_selector_restrictor(
-                selector, restrictor, knows_scan(), already_recursive=False, max_length=WALK_BOUND
-            )
-            results[(str(selector), restrictor.value)] = len(evaluate_to_paths(plan, figure1))
-        return results
-
-    results = benchmark(run_all)
+    results = {}
+    for selector, restrictor in all_selector_restrictor_combinations():
+        plan = translate_selector_restrictor(
+            selector, restrictor, knows_scan(), already_recursive=False, max_length=WALK_BOUND
+        )
+        results[(str(selector), restrictor.value)] = len(evaluate_to_paths(plan, figure1))
     assert len(results) == 28
     assert all(count > 0 for count in results.values())
 

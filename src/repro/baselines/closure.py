@@ -5,7 +5,7 @@ perf baseline.  It shares nothing with the closure kernel there — it goes
 through :meth:`PathSet.join <repro.paths.pathset.PathSet.join>` and the
 path-level predicates on every round — which is what makes it worth comparing
 against: ``tests/test_closure_equivalence.py`` asserts the two agree, and
-``BENCH_closure.json`` records the kernel's speedup over it.
+PERFORMANCE.md ("The closure kernel") records the kernel's speedup over it.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ def recursive_closure_baseline(
     :meth:`PathSet.join`, and classifies each candidate with a full
     end-to-end predicate scan.  Results are identical to
     :func:`recursive_closure` (asserted by the equivalence property tests);
-    only the work per candidate differs.  ``BENCH_closure.json`` records the
-    speedup of the incremental engine over this strategy.
+    only the work per candidate differs.  PERFORMANCE.md ("The closure
+    kernel") records the speedup of the incremental engine over this strategy.
     """
     if restrictor is Restrictor.SHORTEST:
         return _baseline_shortest(base, max_length, budget)

@@ -1,28 +1,13 @@
 """Benchmark-harness utilities: workloads and result formatting."""
 
 from repro.bench.reporting import format_check, format_table, print_table, write_bench_json
-from repro.bench.workloads import (
-    Workload,
-    cyclic_workloads,
-    dag_workloads,
-    figure1_workload,
-    quick_mode,
-    scaling_workloads,
-    select_sizes,
-    selectivity_workloads,
-)
+from repro.bench.workloads import Workload, selectivity_workloads
 
 __all__ = [
     "Workload",
-    "figure1_workload",
-    "scaling_workloads",
     "selectivity_workloads",
-    "cyclic_workloads",
-    "dag_workloads",
     "format_table",
     "format_check",
     "print_table",
     "write_bench_json",
-    "quick_mode",
-    "select_sizes",
 ]

@@ -24,8 +24,9 @@ configurations:
   two configurations replaying the same trace must produce *byte-identical*
   digests event for event — any mismatch names the event, the query and
   both digests.  Throughput and p50/p95/p99 tail latency per configuration
-  land in ``BENCH_replay.json``, so performance regressions are caught by
-  the same gate as correctness ones.
+  land in the same report (PERFORMANCE.md, "Recording and replaying query
+  streams"), so performance regressions are caught by the same gate as
+  correctness ones.
 
 Fault injection: ``ReplayConfig.result_transform`` rewrites each rendered
 result before hashing — the test suite uses it to prove the gate actually
@@ -411,7 +412,7 @@ class ReplayResult:
         return sum(1 for event in self.events if event.error or event.timed_out)
 
     def entry(self) -> dict:
-        """The flat ``BENCH_replay.json`` entry for this configuration."""
+        """The flat report entry for this configuration."""
         summary = self.latency.summary()
         return {
             "config": self.config.name,
@@ -553,7 +554,7 @@ def run_replay(
         }
 
     With ``json_path`` the report is also written via
-    :func:`~repro.bench.reporting.write_bench_json` (``BENCH_replay.json``).
+    :func:`~repro.bench.reporting.write_bench_json` (``replay run --json``).
     """
     if not configs:
         raise ValueError("run_replay needs at least one configuration")

@@ -1,9 +1,8 @@
 """Plain-text table rendering for the benchmark harness.
 
 Benchmarks regenerate the paper's tables; to keep the output comparable with
-the paper, results are printed as fixed-width text tables rather than raw
-pytest-benchmark JSON.  The helpers here have no third-party dependencies so
-they can also be used from the examples.
+the paper, results are printed as fixed-width text tables.  The helpers here
+have no third-party dependencies so they can also be used from the examples.
 """
 
 from __future__ import annotations
@@ -23,14 +22,12 @@ __all__ = [
 
 
 def host_metadata() -> dict:
-    """Describe the machine a benchmark ran on.
+    """Describe the machine a report was measured on.
 
-    Benchmark numbers — especially the parallel-speedup ratios of the
-    service benchmark — are meaningless without knowing the core count and
-    platform behind them, so every ``BENCH_*.json`` header carries this
-    block.  A ``speedup_vs_serial`` below 1.0 for the process pool on a
-    1-CPU container is expected; the same row on a multi-core host is the
-    number the benchmark exists to demonstrate.
+    Throughput and latency numbers — especially those of process-backed
+    configurations — are meaningless without knowing the core count and
+    platform behind them, so every :func:`write_bench_json` header carries
+    this block.
     """
     return {
         "cpus": os.cpu_count(),
@@ -87,12 +84,12 @@ def write_bench_json(
     entries: Iterable[Mapping[str, object]],
     metadata: Mapping[str, object] | None = None,
 ) -> dict:
-    """Write a machine-readable benchmark report (the ``BENCH_*.json`` trajectory).
+    """Write a machine-readable report (``repro replay run --json``).
 
-    ``entries`` is a sequence of flat dictionaries, one per measured workload
-    (name, timings, sizes, derived ratios).  The file is deterministic
-    (sorted keys, trailing newline) so successive PRs produce meaningful
-    diffs.  A ``metadata["host"]`` block (:func:`host_metadata`) is added
+    ``entries`` is a sequence of flat dictionaries, one per measured
+    configuration (name, timings, sizes, derived ratios).  The file is
+    deterministic (sorted keys, trailing newline) so two reports diff
+    cleanly.  A ``metadata["host"]`` block (:func:`host_metadata`) is added
     automatically unless the caller supplied its own.  Returns the payload
     that was written.
     """

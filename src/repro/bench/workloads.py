@@ -7,49 +7,21 @@ benchmark file in ``benchmarks/`` stays declarative.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TypeVar
+from typing import Callable
 
-from repro.datasets.figure1 import figure1_graph
-from repro.datasets.generators import chain_graph, cycle_graph, grid_graph, layered_graph, random_graph
+from repro.datasets.generators import random_graph
 from repro.graph.model import PropertyGraph
 
 __all__ = [
     "Workload",
     "BatchWorkload",
-    "figure1_workload",
-    "scaling_workloads",
     "selectivity_workloads",
     "executor_workloads",
     "service_workloads",
     "mixed_service_workload",
-    "quick_mode",
-    "select_sizes",
 ]
-
-_SizeT = TypeVar("_SizeT")
-
-
-def quick_mode() -> bool:
-    """Whether the ``quick`` benchmark mode is active (``BENCH_QUICK=1``).
-
-    In quick mode every size-parameterized benchmark runs only at its smallest
-    configured size, so a full pass over ``benchmarks/`` stays cheap enough
-    for CI while still exercising every code path and refreshing the
-    ``BENCH_*.json`` perf trajectory.
-    """
-    return os.environ.get("BENCH_QUICK", "") not in ("", "0")
-
-
-def select_sizes(sizes: Sequence[_SizeT]) -> Sequence[_SizeT]:
-    """Return ``sizes`` unchanged, or only the smallest in quick mode.
-
-    Benchmarks list their sizes in ascending order; quick mode keeps the
-    first entry.
-    """
-    return sizes[:1] if quick_mode() else sizes
 
 
 @dataclass
@@ -75,50 +47,6 @@ class Workload:
         return self.graph_factory()
 
 
-def figure1_workload(regex: str = "Knows+") -> Workload:
-    """The paper's running example: the Figure 1 graph and the ``Knows+`` pattern."""
-    return Workload(
-        name="figure1",
-        graph_factory=figure1_graph,
-        regex=regex,
-        description="Figure 1 LDBC SNB snippet (Tables 3 and 5)",
-    )
-
-
-def scaling_workloads(sizes: tuple[int, ...] = (50, 100, 200, 400)) -> list[Workload]:
-    """Graphs of increasing size for the scaling experiment (E-S1)."""
-    workloads = []
-    for size in sizes:
-        workloads.append(
-            Workload(
-                name=f"chain-{size}",
-                graph_factory=lambda n=size: chain_graph(n),
-                regex="Knows+",
-                description="acyclic chain; single path per pair",
-                parameters={"nodes": size, "shape": "chain"},
-            )
-        )
-        workloads.append(
-            Workload(
-                name=f"random-{size}",
-                graph_factory=lambda n=size: random_graph(n, 2 * n, seed=7),
-                regex="Knows+",
-                description="uniform random multigraph",
-                parameters={"nodes": size, "shape": "random"},
-            )
-        )
-        workloads.append(
-            Workload(
-                name=f"grid-{size}",
-                graph_factory=lambda n=size: grid_graph(max(2, int(n ** 0.5)), max(2, int(n ** 0.5))),
-                regex="Knows+",
-                description="grid; exponentially many equal-length shortest paths",
-                parameters={"nodes": size, "shape": "grid"},
-            )
-        )
-    return workloads
-
-
 def selectivity_workloads(num_nodes: int = 120, seed: int = 11) -> list[Workload]:
     """Workloads with varying label selectivity for the optimizer ablation (E-S2)."""
     mixes = {
@@ -142,40 +70,40 @@ def selectivity_workloads(num_nodes: int = 120, seed: int = 11) -> list[Workload
     return workloads
 
 
-def executor_workloads(num_nodes: int | None = None, seed: int = 13) -> list[Workload]:
-    """Streaming-friendly workloads for the executor comparison (BENCH_engine.json).
+def executor_workloads(num_nodes: int = 200, seed: int = 13) -> list[Workload]:
+    """Streaming-friendly workloads for the executor comparison.
 
     Every workload is a join/union plan with no recursion and carries a
-    ``limit`` parameter for the early-termination (``LIMIT k``) measurement:
+    ``limit`` parameter for the early-termination (``LIMIT k``) comparison:
     the pipeline stops pulling after ``limit`` paths while the materializing
-    evaluator always computes the full join.
+    evaluator always computes the full join (PERFORMANCE.md, "One routing
+    fact").
     """
-    nodes = num_nodes if num_nodes is not None else (60 if quick_mode() else 200)
-    edges = 3 * nodes
+    edges = 3 * num_nodes
     factory = lambda: random_graph(  # noqa: E731 - shared by all workloads
-        nodes, edges, labels=("Knows", "Likes"), seed=seed
+        num_nodes, edges, labels=("Knows", "Likes"), seed=seed
     )
     return [
         Workload(
-            name=f"join2-{nodes}",
+            name=f"join2-{num_nodes}",
             graph_factory=factory,
             regex="Knows/Knows",
             description="two-step join; streaming hash join end to end",
-            parameters={"nodes": nodes, "edges": edges, "limit": 5},
+            parameters={"nodes": num_nodes, "edges": edges, "limit": 5},
         ),
         Workload(
-            name=f"join3-{nodes}",
+            name=f"join3-{num_nodes}",
             graph_factory=factory,
             regex="Knows/Knows/Knows",
             description="three-step join; deepest streaming pipeline",
-            parameters={"nodes": nodes, "edges": edges, "limit": 5},
+            parameters={"nodes": num_nodes, "edges": edges, "limit": 5},
         ),
         Workload(
-            name=f"union-{nodes}",
+            name=f"union-{num_nodes}",
             graph_factory=factory,
             regex="Knows|Likes",
             description="label union; pure scan + filter streaming",
-            parameters={"nodes": nodes, "edges": edges, "limit": 10},
+            parameters={"nodes": num_nodes, "edges": edges, "limit": 10},
         ),
     ]
 
@@ -241,10 +169,9 @@ def service_workloads(seed: int = 17) -> list[BatchWorkload]:
     * **cache-cold** makes every text distinct, so nothing is reusable and
       the measurement exposes the service's raw per-query overhead.
     """
-    quick = quick_mode()
-    nodes = 60 if quick else 150
+    nodes = 150
     edges = 3 * nodes
-    batch_size = 80 if quick else 240
+    batch_size = 240
     hot_unique = 8
     factory = lambda: random_graph(  # noqa: E731 - shared by both workloads
         nodes, edges, labels=_SERVICE_LABELS, seed=seed, name="service"
@@ -289,10 +216,9 @@ def mixed_service_workload(seed: int = 23) -> BatchWorkload:
     the same schedule replays identically across invalidation modes and the
     cache-free reference run.
     """
-    quick = quick_mode()
-    nodes = 60 if quick else 150
+    nodes = 150
     edges = 3 * nodes
-    total_steps = 120 if quick else 300
+    total_steps = 300
     hot_unique = 8
     factory = lambda: random_graph(  # noqa: E731 - rebuilt per measured mode
         nodes, edges, labels=_SERVICE_LABELS, seed=seed, name="mixed"
@@ -351,31 +277,3 @@ def mixed_service_workload(seed: int = 23) -> BatchWorkload:
             "hot_writes": counters["hot_writes"],
         },
     )
-
-
-def cyclic_workloads(sizes: tuple[int, ...] = (4, 8, 16, 32)) -> list[Workload]:
-    """Pure cycles of increasing size for the restrictor-cost experiment (E-S3)."""
-    return [
-        Workload(
-            name=f"cycle-{size}",
-            graph_factory=lambda n=size: cycle_graph(n),
-            regex="Knows+",
-            description="directed cycle; worst case for unbounded walks",
-            parameters={"nodes": size, "shape": "cycle"},
-        )
-        for size in sizes
-    ]
-
-
-def dag_workloads(depths: tuple[int, ...] = (3, 4, 5, 6)) -> list[Workload]:
-    """Layered DAGs whose walk counts grow exponentially with depth."""
-    return [
-        Workload(
-            name=f"layered-{depth}",
-            graph_factory=lambda d=depth: layered_graph(layers=d, width=4, fanout=2, seed=3),
-            regex="Knows+",
-            description="layered DAG; exponential walk count without cycles",
-            parameters={"layers": depth, "width": 4},
-        )
-        for depth in depths
-    ]

@@ -19,7 +19,8 @@ Subcommands:
   generate``) and replay (``replay run``) query traces: ``run`` replays one
   trace against several service configurations and reports byte-level
   result diffs plus throughput/tail-latency per configuration — the
-  differential regression gate behind ``BENCH_replay.json``;
+  differential regression gate (PERFORMANCE.md, "Recording and replaying
+  query streams");
 * ``generate`` — write a synthetic graph (figure1 / ldbc / random / cycle /
   chain / grid) to a JSON file;
 * ``stats``    — print summary statistics of a graph file;

@@ -2,10 +2,10 @@
 
 The serving stack built in PR 3–5 keys every cache entry on the graph's
 mutation counter, so *any* write invalidates *every* cached plan and result
-("whole-version invalidation").  ``BENCH_service.json`` shows result reuse is
-the service's only real throughput win, which makes that blanket invalidation
-the single most expensive thing a write can do.  This module defines the two
-value objects that replace it:
+("whole-version invalidation").  PERFORMANCE.md ("Serving queries
+concurrently") shows result reuse is the service's only real throughput win,
+which makes that blanket invalidation the single most expensive thing a write
+can do.  This module defines the two value objects that replace it:
 
 * :class:`GraphDelta` — what changed between two versions of one graph: the
   node/edge labels touched by insertions, the labels of objects whose

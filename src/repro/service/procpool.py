@@ -2,7 +2,8 @@
 
 CPython's GIL means the thread workers of :class:`~repro.service.QueryService`
 provide isolation and overlap but no CPU parallelism — on cache-cold traffic
-they are measurably *slower* than a serial loop (``BENCH_service.json``).
+they are measurably *slower* than a serial loop (PERFORMANCE.md,
+"Process-parallel execution").
 :class:`ProcessWorkerPool` breaks that ceiling by executing queries in child
 processes:
 

@@ -30,8 +30,8 @@ serving workloads where queries and graph mutations interleave:
 A note on parallelism: CPython's GIL serializes the pure-Python evaluation
 work, so the default *thread* worker pool provides isolation and overlap
 (queries keep draining while a producer thread mutates or blocks), not CPU
-parallelism — its throughput wins on cache-hot workloads
-(``BENCH_service.json``) come from result reuse.  For real multi-core
+parallelism — its throughput wins on cache-hot workloads (PERFORMANCE.md,
+"Serving queries concurrently") come from result reuse.  For real multi-core
 evaluation, ``execution_mode="processes"`` backs the dispatchers with a
 :class:`~repro.service.procpool.ProcessWorkerPool` of forked worker
 processes; see that module and PERFORMANCE.md.

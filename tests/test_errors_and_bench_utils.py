@@ -6,15 +6,8 @@ import pytest
 
 from repro import errors
 from repro.bench.reporting import format_check, format_table, print_table
-from repro.bench.workloads import (
-    Workload,
-    cyclic_workloads,
-    dag_workloads,
-    figure1_workload,
-    scaling_workloads,
-    selectivity_workloads,
-)
-from repro.graph.stats import has_directed_cycle
+from repro.bench.workloads import Workload, selectivity_workloads
+from repro.datasets.figure1 import figure1_graph
 
 
 class TestErrorHierarchy:
@@ -90,41 +83,20 @@ class TestReporting:
 
 
 class TestWorkloads:
-    def test_figure1_workload(self) -> None:
-        workload = figure1_workload()
-        graph = workload.build_graph()
-        assert graph.num_nodes() == 7
-        assert workload.regex == "Knows+"
-
-    def test_scaling_workloads_cover_requested_sizes(self) -> None:
-        workloads = scaling_workloads(sizes=(10, 20))
-        assert len(workloads) == 6  # three shapes per size
-        names = {workload.name for workload in workloads}
-        assert "chain-10" in names
-        assert "random-20" in names
-        for workload in workloads:
-            assert workload.build_graph().num_nodes() > 0
-
     def test_workload_graphs_are_rebuilt_fresh(self) -> None:
-        workload = figure1_workload()
+        workload = selectivity_workloads(num_nodes=30)[0]
         first = workload.build_graph()
         second = workload.build_graph()
         assert first is not second
+        assert first.num_nodes() == second.num_nodes() == 30
 
     def test_selectivity_workloads_have_distinct_label_mixes(self) -> None:
         workloads = selectivity_workloads(num_nodes=30)
         label_counts = {len(w.parameters["labels"]) for w in workloads}
         assert len(label_counts) == len(workloads)
 
-    def test_cyclic_workloads_are_cyclic(self) -> None:
-        for workload in cyclic_workloads(sizes=(3, 5)):
-            assert has_directed_cycle(workload.build_graph())
-
-    def test_dag_workloads_are_acyclic(self) -> None:
-        for workload in dag_workloads(depths=(3, 4)):
-            assert not has_directed_cycle(workload.build_graph())
-
     def test_workload_dataclass_fields(self) -> None:
-        workload = Workload(name="x", graph_factory=lambda: figure1_workload().build_graph(), regex="Knows")
+        workload = Workload(name="x", graph_factory=figure1_graph, regex="Knows")
         assert workload.parameters == {}
         assert workload.description == ""
+        assert workload.build_graph().num_nodes() == 7

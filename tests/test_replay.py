@@ -266,7 +266,7 @@ class TestReplay:
 
 class TestBenchReport:
     def test_json_report_contents(self, small_trace, tmp_path) -> None:
-        path = str(tmp_path / "BENCH_replay.json")
+        path = str(tmp_path / "replay.json")
         run_replay(
             small_trace,
             [
@@ -352,7 +352,7 @@ class TestReplayCli:
         from repro.cli import main
 
         trace_path = str(tmp_path / "trace.jsonl")
-        json_path = str(tmp_path / "BENCH_replay.json")
+        json_path = str(tmp_path / "replay.json")
         assert (
             main(
                 [
