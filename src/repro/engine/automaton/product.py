@@ -223,12 +223,12 @@ def _witness_paths(
         yield Path.from_node(graph, key[1])
         return
     # Backward DFS over the predecessor DAG; suffixes accumulate reversed.
-    stack = [(key, (key[1],), ())]
+    stack = [(key, (key[1],))]
     while stack:
-        state, rev_nodes, rev_edges = stack.pop()
+        state, rev_seq = stack.pop()
         if dist[state] == 0:
             meter.tick(_WITNESS_LABEL)
-            yield Path._unchecked(graph, rev_nodes[::-1], rev_edges[::-1])
+            yield Path._unchecked(graph, rev_seq[::-1])
             continue
         for prev, edge_id in preds[state]:
-            stack.append((prev, rev_nodes + (prev[1],), rev_edges + (edge_id,)))
+            stack.append((prev, rev_seq + (edge_id, prev[1])))

@@ -49,13 +49,14 @@ class PathBinding:
     @classmethod
     def from_path(cls, path: Path) -> "PathBinding":
         """Build the binding row for one path."""
+        seq = path.interleaved()
         return cls(
             path=path,
-            source=path.first(),
-            target=path.last(),
-            length=path.len(),
-            nodes=path.node_ids,
-            edges=path.edge_ids,
+            source=seq[0],
+            target=seq[-1],
+            length=len(seq) // 2,
+            nodes=seq[::2],
+            edges=seq[1::2],
             labels=path.label_sequence(),
         )
 

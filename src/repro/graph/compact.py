@@ -598,7 +598,7 @@ class CompactGraph:
         target = self if graph is None else graph
         unchecked = Path._unchecked
         for node_id in self._node_ids:
-            yield unchecked(target, (node_id,), ())
+            yield unchecked(target, (node_id,))
 
     def iter_edge_paths(
         self, graph=None, label: str | None = None, source: str | None = None
@@ -634,7 +634,7 @@ class CompactGraph:
         src = self._edge_src
         dst = self._edge_dst
         for e in indexes:
-            yield unchecked(target, (node_ids[src[e]], node_ids[dst[e]]), (edge_ids[e],))
+            yield unchecked(target, (node_ids[src[e]], edge_ids[e], node_ids[dst[e]]))
 
     # ------------------------------------------------------------------
     # Snapshot / freeze protocol (already frozen; everything is a no-op)

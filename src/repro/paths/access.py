@@ -32,7 +32,7 @@ def node_paths(graph: PropertyGraph) -> Iterator[Path]:
     if compact is not None:
         return compact.iter_node_paths(graph)
     unchecked = Path._unchecked
-    return (unchecked(graph, (node_id,), ()) for node_id in graph.node_ids())
+    return (unchecked(graph, (node_id,)) for node_id in graph.node_ids())
 
 
 def edge_paths(
@@ -55,4 +55,4 @@ def edge_paths(
     else:
         edges = graph.edges()
     unchecked = Path._unchecked
-    return (unchecked(graph, (edge.source, edge.target), (edge.id,)) for edge in edges)
+    return (unchecked(graph, (edge.source, edge.id, edge.target)) for edge in edges)

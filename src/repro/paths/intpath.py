@@ -1,9 +1,8 @@
 """Int-encoded paths over a :class:`~repro.graph.compact.CompactGraph`.
 
 The object representation (:class:`~repro.paths.path.Path`) stores a path as
-two tuples of string identifiers; every hash, equality probe and visited-set
-membership check during a closure therefore hashes strings.  Against a compact
-graph the same path is a single *interleaved tuple of dense ints*::
+one interleaved tuple of the graph's own identifiers.  Against a compact graph
+the same path is an *interleaved tuple of dense ints*::
 
     (n0, e0, n1, e1, n2, ...)      # node indexes at even slots, edge at odd
 
@@ -41,14 +40,13 @@ def encode_seq(compact: CompactGraph, path: Path) -> tuple[int, ...] | None:
     """Encode ``path`` as an interleaved int tuple, or ``None`` if any of its
     identifiers is unknown to ``compact`` (the caller then falls back to the
     object path)."""
-    nodes = path._nodes
-    edges = path._edges
+    ids = path.interleaved()
     node_index = compact._node_index
     edge_index = compact._edge_index
     try:
-        seq = [0] * (len(nodes) + len(edges))
-        seq[::2] = [node_index[n] for n in nodes]
-        seq[1::2] = [edge_index[e] for e in edges]
+        seq = [0] * len(ids)
+        seq[::2] = [node_index[n] for n in ids[::2]]
+        seq[1::2] = [edge_index[e] for e in ids[1::2]]
     except KeyError:
         return None
     return tuple(seq)
@@ -60,11 +58,10 @@ def decode_seq(compact: CompactGraph, graph, seq: tuple[int, ...]) -> Path:
     itself, so downstream property reads resolve exactly as before)."""
     node_ids = compact._node_ids
     edge_ids = compact._edge_ids
-    return Path._unchecked(
-        graph,
-        tuple(node_ids[i] for i in seq[::2]),
-        tuple(edge_ids[i] for i in seq[1::2]),
-    )
+    ids = [None] * len(seq)
+    ids[::2] = [node_ids[i] for i in seq[::2]]
+    ids[1::2] = [edge_ids[i] for i in seq[1::2]]
+    return Path._unchecked(graph, tuple(ids))
 
 
 def encode_base(compact: CompactGraph, paths) -> list[tuple[int, ...]] | None:

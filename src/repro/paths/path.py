@@ -5,10 +5,12 @@ and edge identifiers such that every edge ``ei`` connects ``ni`` to ``ni+1``.
 A path of length zero consists of a single node.  Paths are the first-class
 values manipulated by every operator of the path algebra.
 
-:class:`Path` stores the node and edge identifier sequences and keeps a
-reference to the graph so that labels and properties can be resolved by the
-path operators of Section 3.1 (``First``, ``Last``, ``Node``, ``Edge``,
-``Len``, ``Label``, ``Prop``).
+:class:`Path` stores exactly that interleaved tuple — nodes at even positions,
+edges at odd ones — and keeps a reference to the graph so that labels and
+properties can be resolved by the path operators of Section 3.1 (``First``,
+``Last``, ``Node``, ``Edge``, ``Len``, ``Label``, ``Prop``).  The closure
+kernel computes on the same tuple, so turning one of its results into a
+:class:`Path` is one object, and concatenation is one tuple operation.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class Path:
     of equality, mirroring the paper where all paths live in one graph).
     """
 
-    __slots__ = ("_graph", "_nodes", "_edges", "_hash")
+    __slots__ = ("_graph", "_seq", "_hash")
 
     def __init__(
         self,
@@ -40,30 +42,28 @@ class Path:
     ) -> None:
         if validate:
             _validate_sequence(graph, nodes, edges)
+        seq: list[str] = [""] * (len(nodes) + len(edges))
+        seq[::2] = nodes
+        seq[1::2] = edges
         self._graph = graph
-        self._nodes: tuple[str, ...] = tuple(nodes)
-        self._edges: tuple[str, ...] = tuple(edges)
-        # Hashing is lazy: frontier paths produced during a closure that are
-        # pruned before entering any set never pay for it.
+        self._seq: tuple[str, ...] = tuple(seq)
+        # Hashing is lazy: a path that never enters a set never pays for it.
         self._hash: int | None = None
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def _unchecked(
-        cls, graph: PropertyGraph, nodes: tuple[str, ...], edges: tuple[str, ...]
-    ) -> "Path":
-        """Build a path from already-validated tuples, bypassing ``__init__``.
+    def _unchecked(cls, graph: PropertyGraph, seq: tuple[str, ...]) -> "Path":
+        """Build a path from an already-valid interleaved tuple, bypassing ``__init__``.
 
-        Internal fast path for :meth:`concat`, :meth:`prefix` / :meth:`suffix`
-        and the closure engine, where the alternating-sequence invariant holds
-        by construction.
+        Internal fast path for :meth:`concat`, :meth:`prefix` / :meth:`suffix`,
+        the scans and the closure kernel, where the alternating-sequence
+        invariant holds by construction.
         """
         path = object.__new__(cls)
         path._graph = graph
-        path._nodes = nodes
-        path._edges = edges
+        path._seq = seq
         path._hash = None
         return path
 
@@ -76,7 +76,7 @@ class Path:
     def from_edge(cls, graph: PropertyGraph, edge_id: str) -> "Path":
         """Return the length-one path traversing ``edge_id``."""
         edge = graph.edge(edge_id)
-        return cls(graph, [edge.source, edge.target], [edge_id], validate=False)
+        return cls._unchecked(graph, (edge.source, edge_id, edge.target))
 
     @classmethod
     def from_interleaved(cls, graph: PropertyGraph, sequence: Sequence[str]) -> "Path":
@@ -85,9 +85,7 @@ class Path:
             raise InvalidPathError(
                 "interleaved path sequence must have odd length (nodes at even positions)"
             )
-        nodes = [sequence[i] for i in range(0, len(sequence), 2)]
-        edges = [sequence[i] for i in range(1, len(sequence), 2)]
-        return cls(graph, nodes, edges)
+        return cls(graph, sequence[::2], sequence[1::2])
 
     # ------------------------------------------------------------------
     # Path operators (Section 3.1)
@@ -99,39 +97,41 @@ class Path:
 
     def first(self) -> str:
         """``First(p)`` — identifier of the first node."""
-        return self._nodes[0]
+        return self._seq[0]
 
     def last(self) -> str:
         """``Last(p)`` — identifier of the last node."""
-        return self._nodes[-1]
+        return self._seq[-1]
 
     def node(self, i: int) -> str:
         """``Node(p, i)`` — identifier of the i-th node (1-based, as in the paper)."""
-        if i < 1 or i > len(self._nodes):
-            raise InvalidPathError(f"node position {i} out of range 1..{len(self._nodes)}")
-        return self._nodes[i - 1]
+        count = len(self._seq) // 2 + 1
+        if i < 1 or i > count:
+            raise InvalidPathError(f"node position {i} out of range 1..{count}")
+        return self._seq[2 * i - 2]
 
     def edge(self, j: int) -> str:
         """``Edge(p, j)`` — identifier of the j-th edge (1-based, as in the paper)."""
-        if j < 1 or j > len(self._edges):
-            raise InvalidPathError(f"edge position {j} out of range 1..{len(self._edges)}")
-        return self._edges[j - 1]
+        count = len(self._seq) // 2
+        if j < 1 or j > count:
+            raise InvalidPathError(f"edge position {j} out of range 1..{count}")
+        return self._seq[2 * j - 1]
 
     def len(self) -> int:
         """``Len(p)`` — the number of edges."""
-        return len(self._edges)
+        return len(self._seq) // 2
 
     def label(self) -> str:
         """``lambda(p)`` — concatenation of the edge labels along the path."""
         parts = []
-        for edge_id in self._edges:
+        for edge_id in self._seq[1::2]:
             label = self._graph.edge(edge_id).label
             parts.append(label if label is not None else "")
         return "".join(parts)
 
     def label_sequence(self) -> tuple[str | None, ...]:
         """Return the tuple of edge labels along the path (``None`` for unlabeled edges)."""
-        return tuple(self._graph.edge(edge_id).label for edge_id in self._edges)
+        return tuple(self._graph.edge(edge_id).label for edge_id in self._seq[1::2])
 
     # ------------------------------------------------------------------
     # Accessors
@@ -139,20 +139,20 @@ class Path:
     @property
     def node_ids(self) -> tuple[str, ...]:
         """The node identifiers, in order."""
-        return self._nodes
+        return self._seq[::2]
 
     @property
     def edge_ids(self) -> tuple[str, ...]:
         """The edge identifiers, in order."""
-        return self._edges
+        return self._seq[1::2]
 
     def nodes(self) -> list[Node]:
         """Return the :class:`Node` objects along the path, in order."""
-        return [self._graph.node(node_id) for node_id in self._nodes]
+        return [self._graph.node(node_id) for node_id in self._seq[::2]]
 
     def edges(self) -> list[Edge]:
         """Return the :class:`Edge` objects along the path, in order."""
-        return [self._graph.edge(edge_id) for edge_id in self._edges]
+        return [self._graph.edge(edge_id) for edge_id in self._seq[1::2]]
 
     def first_node(self) -> Node:
         """Return the first node as a :class:`Node` object."""
@@ -164,10 +164,7 @@ class Path:
 
     def interleaved(self) -> tuple[str, ...]:
         """Return the paper's interleaved ``(n1, e1, n2, ..., ek, nk+1)`` representation."""
-        result: list[str] = [""] * (len(self._nodes) + len(self._edges))
-        result[::2] = self._nodes
-        result[1::2] = self._edges
-        return tuple(result)
+        return self._seq
 
     def endpoints(self) -> tuple[str, str]:
         """Return ``(First(p), Last(p))``."""
@@ -182,9 +179,7 @@ class Path:
             raise PathConcatenationError(
                 f"cannot concatenate: Last(p1)={self.last()!r} != First(p2)={other.first()!r}"
             )
-        return Path._unchecked(
-            self._graph, self._nodes + other._nodes[1:], self._edges + other._edges
-        )
+        return Path._unchecked(self._graph, self._seq + other._seq[1:])
 
     def can_concat(self, other: "Path") -> bool:
         """Return ``True`` when ``self ∘ other`` is defined."""
@@ -194,17 +189,13 @@ class Path:
         """Return the prefix of the path containing the first ``length`` edges."""
         if length < 0 or length > self.len():
             raise InvalidPathError(f"prefix length {length} out of range 0..{self.len()}")
-        return Path._unchecked(self._graph, self._nodes[: length + 1], self._edges[:length])
+        return Path._unchecked(self._graph, self._seq[: 2 * length + 1])
 
     def suffix(self, length: int) -> "Path":
         """Return the suffix of the path containing the last ``length`` edges."""
         if length < 0 or length > self.len():
             raise InvalidPathError(f"suffix length {length} out of range 0..{self.len()}")
-        if length == 0:
-            return Path._unchecked(self._graph, (self._nodes[-1],), ())
-        return Path._unchecked(
-            self._graph, self._nodes[-(length + 1):], self._edges[-length:]
-        )
+        return Path._unchecked(self._graph, self._seq[-(2 * length + 1):])
 
     def reverse_endpoints(self) -> tuple[str, str]:
         """Return ``(Last(p), First(p))`` — convenience for undirected-style lookups."""
@@ -221,7 +212,7 @@ class Path:
         return self.len()
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self.interleaved())
+        return iter(self._seq)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Path):
@@ -232,24 +223,24 @@ class Path:
             and self._hash != other._hash
         ):
             return False
-        return self._nodes == other._nodes and self._edges == other._edges
+        return self._seq == other._seq
 
     def __hash__(self) -> int:
         value = self._hash
         if value is None:
-            value = self._hash = hash((self._nodes, self._edges))
+            value = self._hash = hash(self._seq)
         return value
 
     def __lt__(self, other: "Path") -> bool:
         if not isinstance(other, Path):
             return NotImplemented
-        return self.interleaved() < other.interleaved()
+        return self._seq < other._seq
 
     def __repr__(self) -> str:
-        return f"Path({', '.join(self.interleaved())})"
+        return f"Path({', '.join(self._seq)})"
 
     def __str__(self) -> str:
-        return "(" + ", ".join(self.interleaved()) + ")"
+        return "(" + ", ".join(self._seq) + ")"
 
 
 def _validate_sequence(graph: PropertyGraph, nodes: Sequence[str], edges: Sequence[str]) -> None:

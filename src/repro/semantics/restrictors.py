@@ -19,16 +19,18 @@ implements the five variants of the paper:
 **One kernel.**  :func:`recursive_closure` (blocking) and
 :func:`iter_recursive_closure` (streaming) are the same code: paths in, paths
 out, and in between one fix-point round generator (:func:`_rounds`; ϕShortest
-has the one heap loop :func:`_shortest`).  Inside the kernel a path is the
-paper's interleaved tuple ``(n0, e0, n1, …)`` of *whatever identifiers the
+has the one length-bucket loop :func:`_shortest`).  Inside the kernel a path is
+the paper's interleaved tuple ``(n0, e0, n1, …)`` of *whatever identifiers the
 base carries* — the kernel never looks at them, it only hashes and compares
-them — so extending a path is one ``seq + tail``, deduplicating it one set
-probe, and decoding it two slices.  Trail / Acyclic / Simple state is a bitmask
-whose bits are interned per closure over the one kind of identifier the
-restrictor probes (edges for Trail, nodes for the other two), so a conformance
-probe is one ``&`` and the extended state one ``|`` whatever the graph's
-encoding: mutable, frozen and snapshot-pinned graphs all run this code, and
-nothing outside this module knows how the closure represents a path.  The
+them — which is also what a :class:`Path` stores, so extending a path is one
+``seq + tail`` and decoding it one object around the tuple.  When every base
+path has the same length the closure cannot produce a tuple twice, so no
+deduplication set is kept; mixed lengths probe one.  Trail / Acyclic / Simple
+state is a bitmask whose bits are interned per closure over the one kind of
+identifier the restrictor probes (edges for Trail, nodes for the other two), so
+a conformance probe is one ``&`` and the extended state one ``|`` whatever the
+graph's encoding: mutable, frozen and snapshot-pinned graphs all run this code,
+and nothing outside this module knows how the closure represents a path.  The
 blocking form drains the generator and decodes in bulk; the streaming form
 decodes each path as it is yielded, in the same order.
 
@@ -42,10 +44,9 @@ closure kernel".
 
 from __future__ import annotations
 
-import heapq
 import sys
+from collections import defaultdict
 from enum import Enum
-from itertools import count
 from typing import Callable, Hashable, Iterable, Iterator
 
 from repro.errors import NonTerminatingQueryError
@@ -88,7 +89,7 @@ _PREDICATES: dict[Restrictor, Callable[[Path], bool]] = {
     Restrictor.SIMPLE: is_simple,
 }
 
-#: How many frontier entries (heap pops for ϕShortest) may pass between two
+#: How many frontier entries (queue pops for ϕShortest) may pass between two
 #: clock reads: small enough that a deadline is observed within milliseconds
 #: even in a round that rejects almost every candidate.  Derived from the
 #: single granularity knob on :class:`QueryBudget`.
@@ -169,12 +170,12 @@ def recursive_closure(
         BudgetExceeded: when ``budget`` is exhausted before the fix point.
     """
     graph, paths, produced = _closure(base, restrictor, max_length, budget, seeds)
-    # Drain the kernel before decoding: its working set (seen, frontier, heap)
+    # Drain the kernel before decoding: its working set (seen, frontier, queue)
     # is freed before any Path is built, which measured 4-13 % faster than
     # decoding while the generator is still alive.
     produced = list(produced)
     unchecked = Path._unchecked
-    paths += [unchecked(graph, seq[::2], seq[1::2]) for seq in produced]
+    paths += [unchecked(graph, seq) for seq in produced]
     return PathSet.from_unique(paths)
 
 
@@ -195,7 +196,7 @@ def iter_recursive_closure(
     :func:`recursive_closure` returns, in the same order — it drains the same
     generator.
 
-    ϕShortest streams too: its heap pops paths in non-decreasing length, so a
+    ϕShortest streams too: its queue pops paths in non-decreasing length, so a
     popped path that survives domination is final and is yielded at once.
 
     For WALK without ``max_length`` the non-termination guard of
@@ -208,7 +209,7 @@ def iter_recursive_closure(
     yield from paths
     unchecked = Path._unchecked
     for seq in produced:
-        yield unchecked(graph, seq[::2], seq[1::2])
+        yield unchecked(graph, seq)
 
 
 def recursive_closure_postfilter(
@@ -253,8 +254,12 @@ def _closure(
     graph = next(iter(origin)).graph
     seqs = [path.interleaved() for path in base]
     origin_seqs = seqs if seeds is None else [path.interleaved() for path in seeds]
+    # One base length L: a closure path of length kL splits into base segments
+    # in exactly one way, so each (path, extension) pair yields its own tuple.
+    # Mixed lengths do not: with {0, 1}, (n) ∘ e is the start path e itself.
+    dedup = len({len(seq) for seq in seqs}) > 1
     if restrictor is Restrictor.SHORTEST:
-        return graph, [], _shortest(seqs, origin_seqs, max_length, budget)
+        return graph, [], _shortest(seqs, origin_seqs, max_length, budget, dedup)
     predicate = _PREDICATES.get(restrictor)
     start = [
         (path, seq)
@@ -263,7 +268,7 @@ def _closure(
     ]
     if not start:
         return graph, [], ()
-    rounds = _rounds(seqs, [seq for _, seq in start], restrictor, max_length, budget)
+    rounds = _rounds(seqs, [seq for _, seq in start], restrictor, max_length, budget, dedup)
     return graph, [path for path, _ in start], rounds
 
 
@@ -317,6 +322,7 @@ def _rounds(
     restrictor: Restrictor,
     max_length: int | None,
     budget: QueryBudget | None,
+    dedup: bool,
 ) -> Iterator[_Seq]:
     """The fix point of Definition 4.1 beyond ``start``, one new path per ``next()``.
 
@@ -336,7 +342,9 @@ def _rounds(
     same loop with all-zero masks and, unbounded, a sound non-termination
     detector: a walk longer than the number of distinct edges in all of
     ``base`` repeats an edge, so a cycle is reachable and the closure infinite.
-    The length bound is checked before a candidate is built.
+    The length bound is checked before a candidate is built.  Only with
+    ``dedup`` (base paths of mixed lengths) can two (path, extension) pairs
+    build the same tuple, so only then is a built tuple probed against a set.
     """
     simple = restrictor is Restrictor.SIMPLE
     guard = restrictor is Restrictor.WALK and max_length is None
@@ -357,7 +365,7 @@ def _rounds(
         buckets.setdefault(seq[0], []).append(entry)
     frontier = [(seq, mask_of(seq[visited_by])[0]) for seq in start]
     # Membership only, never iterated: hash order cannot leak into the result.
-    seen = set(start)
+    seen = set(start) if dedup else None
 
     bucket_of = buckets.get
     budgeted = budget is not None
@@ -396,13 +404,15 @@ def _rounds(
                             continue
                         extended |= last_bit
                     joined = seq + tail
-                    known = len(seen)
-                    seen.add(joined)
-                    if len(seen) != known:
-                        produced.append((joined, extended))
-                        if budgeted:
-                            budget.charge(1, label)
-                        yield joined
+                    if dedup:
+                        known = len(seen)
+                        seen.add(joined)
+                        if len(seen) == known:
+                            continue
+                    produced.append((joined, extended))
+                    if budgeted:
+                        budget.charge(1, label)
+                    yield joined
             else:
                 for ext_len, ext_mask, distinct, tail in extensions:
                     if length + ext_len > bound:
@@ -412,13 +422,15 @@ def _rounds(
                     if not distinct or visited & ext_mask:
                         continue
                     joined = seq + tail
-                    known = len(seen)
-                    seen.add(joined)
-                    if len(seen) != known:
-                        produced.append((joined, visited | ext_mask))
-                        if budgeted:
-                            budget.charge(1, label)
-                        yield joined
+                    if dedup:
+                        known = len(seen)
+                        seen.add(joined)
+                        if len(seen) == known:
+                            continue
+                    produced.append((joined, visited | ext_mask))
+                    if budgeted:
+                        budget.charge(1, label)
+                    yield joined
         frontier = produced
 
 
@@ -427,6 +439,7 @@ def _shortest(
     origin: list[_Seq],
     max_length: int | None,
     budget: QueryBudget | None,
+    dedup: bool,
 ) -> Iterator[_Seq]:
     """All minimum-length closure paths per endpoint pair (ϕShortest), in pop order.
 
@@ -445,9 +458,14 @@ def _shortest(
     only ever be discarded at pop time anyway.  Domination is decided over
     all of ``base``; only ``origin`` (the base or its seeds) is pushed.
 
-    Pops come in non-decreasing length, so the first pop of an endpoint pair
-    fixes its distance and every path that survives the check is final: each is
-    yielded as it is popped.
+    The queue is one FIFO list per length, popped shortest length first
+    (Dial's bucket queue).  Zero-length segments are never extensions, so every
+    push lands in a strictly longer bucket than the one being popped: pops come
+    in ``(length, push order)`` order, exactly a heap keyed that way.  Pops
+    come in non-decreasing length, so the first pop of an endpoint pair fixes
+    its distance and every path that survives the check is final: each is
+    yielded as it is popped.  As in :func:`_rounds`, only a base of mixed
+    lengths can push one tuple twice, so only then is a ``seen`` set kept.
     """
     bound = sys.maxsize if max_length is None else max_length
     best_base: dict[tuple[Hashable, Hashable], int] = {}
@@ -463,47 +481,48 @@ def _shortest(
         if length:  # p ∘ (n) = p: a zero-length segment never yields a new path
             buckets.setdefault(seq[0], []).append((length, seq[-1], seq[1:]))
 
-    tie_breaker = count()
-    heap: list[tuple[int, int, _Seq]] = []
+    queue: defaultdict[int, list[_Seq]] = defaultdict(list)
     for seq in origin:
         length = len(seq) // 2
         if length > bound or length > best_base[(seq[0], seq[-1])]:
             continue
-        heapq.heappush(heap, (length, next(tie_breaker), seq))
+        queue[length].append(seq)
 
     best: dict[tuple[Hashable, Hashable], int] = {}
     bucket_of = buckets.get
     budgeted = budget is not None
     pending = 0
     seen: set[_Seq] = set()
-    while heap:
-        length, _, seq = heapq.heappop(heap)
-        if budgeted:
-            pending += 1
-            if pending >= _BUDGET_BATCH:
-                budget.note_depth(length)
-                budget.charge(pending, "ϕShortest")
-                pending = 0
-        if seq in seen:
-            continue
-        seen.add(seq)
-        first = seq[0]
-        key = (first, seq[-1])
-        known = best.get(key)
-        if known is None:
-            best[key] = length
-        elif length > known:
-            continue
-        yield seq
-        for ext_len, last, tail in bucket_of(seq[-1], ()):
-            new_length = length + ext_len
-            if new_length > bound:
+    while queue:
+        length = min(queue)
+        for seq in queue.pop(length):
+            if budgeted:
+                pending += 1
+                if pending >= _BUDGET_BATCH:
+                    budget.note_depth(length)
+                    budget.charge(pending, "ϕShortest")
+                    pending = 0
+            if dedup:
+                if seq in seen:
+                    continue
+                seen.add(seq)
+            first = seq[0]
+            key = (first, seq[-1])
+            known = best.get(key)
+            if known is None:
+                best[key] = length
+            elif length > known:
                 continue
-            known_new = best.get((first, last))
-            if known_new is not None and new_length > known_new:
-                continue
-            new_seq = seq + tail
-            if new_seq not in seen:
-                heapq.heappush(heap, (new_length, next(tie_breaker), new_seq))
+            yield seq
+            for ext_len, last, tail in bucket_of(seq[-1], ()):
+                new_length = length + ext_len
+                if new_length > bound:
+                    continue
+                known_new = best.get((first, last))
+                if known_new is not None and new_length > known_new:
+                    continue
+                new_seq = seq + tail
+                if not dedup or new_seq not in seen:
+                    queue[new_length].append(new_seq)
     if budgeted and pending:
         budget.charge(pending, "ϕShortest")

@@ -124,14 +124,14 @@ def row_from_path(path: Path) -> dict:
     :meth:`~repro.engine.results.PathBinding.to_dict` stays the definition
     (the protocol tests hold the two equal).
     """
-    nodes = path.node_ids
-    edges = path.edge_ids
+    seq = path.interleaved()
+    edges = seq[1::2]
     edge = path.graph.edge
     return {
-        "source": nodes[0],
-        "target": nodes[-1],
+        "source": seq[0],
+        "target": seq[-1],
         "length": len(edges),
-        "nodes": list(nodes),
+        "nodes": list(seq[::2]),
         "edges": list(edges),
         "labels": [edge(edge_id).label for edge_id in edges],
         "path": str(path),

@@ -23,11 +23,11 @@ processes:
   write-heavy ones pay one fork per drift, not per query.
 * **Compact wire protocol.** Tasks are pickled *by the dispatcher* (an
   unpicklable parameter fails that one request instead of poisoning a queue
-  feeder thread).  Result paths come back as ``(node_ids, edge_ids)`` tuple
-  pairs and are rehydrated against the parent's graph via
-  ``Path._unchecked`` — a path object drags its whole graph through pickle,
-  the id tuples do not.  :class:`~repro.errors.BudgetExceeded` partial
-  progress and errors come back as typed payloads on the same queue.
+  feeder thread).  Result paths come back as their interleaved id tuples
+  and are rehydrated against the parent's graph via ``Path._unchecked`` — a
+  path object drags its whole graph through pickle, the id tuple does not.
+  :class:`~repro.errors.BudgetExceeded` partial progress and errors come
+  back as typed payloads on the same queue.
 * **Crash containment.** A worker announces a *claim* (task seq + pid)
   before executing.  The monitor thread watches worker liveness: when a
   worker dies, its claimed-but-unanswered task is requeued once (another
@@ -112,12 +112,12 @@ class RemoteOutcome:
 
     ``kind`` is one of ``"ok"`` / ``"budget"`` / ``"error"`` /
     ``"worker-died"``; the remaining fields mirror the worker's payload.
-    ``paths`` stays in wire encoding (``(node_ids, edge_ids)`` pairs) —
+    ``paths`` stays in wire encoding (one interleaved id tuple per path) —
     decode with :func:`decode_paths` against the parent graph.
     """
 
     kind: str
-    paths: list[tuple[tuple[str, ...], tuple[str, ...]]] | None = None
+    paths: list[tuple[str, ...]] | None = None
     executor: str = ""
     plan_cache_hit: bool = False
     budget_reason: str = ""
@@ -130,16 +130,14 @@ class RemoteOutcome:
     worker_died: WorkerDied | None = None
 
 
-def encode_paths(paths) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Flatten a path iterable to ``(node_ids, edge_ids)`` pairs for the wire."""
-    return [(path._nodes, path._edges) for path in paths]
+def encode_paths(paths) -> list[tuple[str, ...]]:
+    """Flatten a path iterable to its interleaved id tuples for the wire."""
+    return [path.interleaved() for path in paths]
 
 
 def decode_paths(graph, encoded) -> PathSet:
     """Rehydrate wire-encoded paths against ``graph`` (append-only superset)."""
-    return PathSet.from_unique(
-        Path._unchecked(graph, nodes, edges) for nodes, edges in encoded
-    )
+    return PathSet.from_unique(Path._unchecked(graph, seq) for seq in encoded)
 
 
 @dataclass

@@ -61,7 +61,7 @@ def reference_edge_paths(graph) -> Iterator[Path]:
         src = compact._edge_src
         dst = compact._edge_dst
         for e, edge_id in enumerate(compact._edge_ids):
-            yield Path._unchecked(graph, (node_ids[src[e]], node_ids[dst[e]]), (edge_id,))
+            yield Path._unchecked(graph, (node_ids[src[e]], edge_id, node_ids[dst[e]]))
         return
     for edge_id in graph.edge_ids():
         yield Path.from_edge(graph, edge_id)

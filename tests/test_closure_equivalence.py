@@ -20,8 +20,10 @@ unbounded pruned closure is asserted equal as well.
 The second half pins what the kernel's representation could get wrong: the
 streaming order (it *is* the blocking order, for all five restrictors), masks
 wider than a machine word, identifiers shared between a node and an edge,
-multi-edge base segments whose probed identifiers repeat among themselves, and
-budget kills that report the same place blocking and streaming.
+multi-edge base segments whose probed identifiers repeat among themselves,
+ϕShortest's pop order (the baseline's heap order, row for row), the
+deduplication set that only bases of mixed lengths need, and budget kills that
+report the same place blocking and streaming.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from graph_corpus import closure_corpus
 from repro.algebra.evaluator import evaluate_to_paths
 from repro.algebra.expressions import EdgesScan, Recursive
 from repro.baselines.closure import recursive_closure_baseline
+from repro.datasets.figure1 import figure1_graph
 from repro.datasets.generators import chain_graph, complete_graph, cycle_graph
 from repro.engine.physical import execute_pipeline
 from repro.errors import BudgetExceeded
@@ -41,6 +44,7 @@ from repro.graph.model import PropertyGraph
 from repro.paths.path import Path
 from repro.paths.pathset import PathSet
 from repro.paths.predicates import is_acyclic, is_simple, is_trail
+from repro.semantics import restrictors
 from repro.semantics.restrictors import (
     Restrictor,
     iter_recursive_closure,
@@ -131,6 +135,26 @@ def test_streaming_order_is_blocking_order(graph: PropertyGraph) -> None:
             origin = base if seeds is None else seeds
             if restrictor is Restrictor.WALK:
                 assert streamed[: len(origin)] == list(origin), (graph.name, "base order first")
+
+
+@pytest.mark.parametrize("graph", ALL_GRAPHS, ids=lambda graph: graph.name)
+def test_shortest_order_is_the_baseline_order(graph: PropertyGraph) -> None:
+    """ϕShortest's length-bucket queue pops in the baseline heap's ``(length, push
+    order)`` order: blocking, streaming and seeded lists equal the baseline's
+    (seeded: its rows that start at a seed), at a short and a common bound."""
+    base = PathSet.edges_of(graph)
+    shortest = Restrictor.SHORTEST
+    for bound in (3, COMMON_BOUND):
+        expected = list(recursive_closure_baseline(base, shortest, bound))
+        assert list(recursive_closure(base, shortest, bound)) == expected, (graph.name, bound)
+        assert list(iter_recursive_closure(base, shortest, bound)) == expected, (graph.name, bound)
+        for seeds in _seed_sets(base)[1:]:
+            firsts = {path.first() for path in seeds}
+            seeded = list(recursive_closure(base, shortest, bound, seeds=seeds))
+            assert seeded == [path for path in expected if path.first() in firsts], (
+                graph.name,
+                bound,
+            )
 
 
 # ----------------------------------------------------------------------
@@ -243,6 +267,99 @@ def test_multi_edge_segments_exercise_distinct_and_the_simple_split() -> None:
         assert list(recursive_closure(base, restrictor)) == list(
             recursive_closure_baseline(base, restrictor)
         )
+
+
+# ----------------------------------------------------------------------
+# The deduplication set: only bases of mixed lengths need it
+# ----------------------------------------------------------------------
+def _knows(graph: PropertyGraph) -> PathSet:
+    return PathSet.edges_of(graph).filter(lambda path: graph.label_of(path.edge(1)) == "Knows")
+
+
+def _dedup_bases() -> list[tuple[str, PathSet, bool]]:
+    """``(name, base, whether the kernel must keep a dedup set)``.
+
+    ``Nodes(G) ∪ Edges(G)`` has lengths {0, 1}: ``(n) ∘ e`` is the start path ``e``.
+    ``Knows ∪ Knows/Knows`` has lengths {1, 2}: on Figure 1 ``e1 ∘ e2`` is the base
+    path ``(n1, e1, n2, e2, n3)``, and on the 4-clique every two-edge path is
+    built a second time.  ``Knows/Knows`` alone splits one way only."""
+    bases = []
+    for graph in (figure1_graph(), complete_graph(4)):
+        knows = _knows(graph)
+        two = knows.join(knows)
+        atoms = PathSet.nodes_of(graph).union(PathSet.edges_of(graph))
+        bases += [
+            (f"{graph.name}:nodes+edges", atoms, True),
+            (f"{graph.name}:knows+knows2", knows.union(two), True),
+            (f"{graph.name}:knows2", two, False),
+        ]
+    return bases
+
+
+DEDUP_BASES = _dedup_bases()
+
+
+@pytest.fixture
+def dedup_routes(monkeypatch: pytest.MonkeyPatch) -> list[bool]:
+    """The ``dedup`` flag every kernel loop started in this test was handed."""
+    routes: list[bool] = []
+    for name in ("_rounds", "_shortest"):
+        loop = getattr(restrictors, name)
+
+        def spy(*args, _loop=loop):
+            routes.append(args[-1])
+            return _loop(*args)
+
+        monkeypatch.setattr(restrictors, name, spy)
+    return routes
+
+
+@pytest.mark.parametrize("name, base, dedup", DEDUP_BASES, ids=[name for name, _, _ in DEDUP_BASES])
+def test_dedup_guard_matches_the_baseline(
+    name: str, base: PathSet, dedup: bool, dedup_routes: list[bool]
+) -> None:
+    """Mixed lengths still deduplicate; a uniform multi-edge base runs set-free."""
+    lengths = {path.len() for path in base}
+    assert (len(lengths) > 1) is dedup, lengths
+    for restrictor in RESTRICTORS:
+        expected = list(recursive_closure_baseline(base, restrictor, COMMON_BOUND))
+        assert list(recursive_closure(base, restrictor, COMMON_BOUND)) == expected, restrictor
+        assert list(iter_recursive_closure(base, restrictor, COMMON_BOUND)) == expected, restrictor
+    assert dedup_routes == [dedup] * (2 * len(RESTRICTORS))
+
+
+@pytest.mark.parametrize("restrictor", RESTRICTORS)
+@pytest.mark.parametrize("max_visited", [0, 7, 60])
+def test_dedup_guard_budget_kill_is_the_same_with_and_without_the_set(
+    restrictor: Restrictor, max_visited: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """On a uniform base the set rejects nothing, so forcing it on changes neither
+    the rows nor where a tight ``max_visited`` stops them, blocking or streaming."""
+    knows = _knows(complete_graph(5))
+    base = knows.join(knows)
+
+    def runs() -> list[tuple]:
+        def blocking(budget: QueryBudget) -> None:
+            recursive_closure(base, restrictor, 4, budget=budget)
+
+        def streaming(budget: QueryBudget) -> None:
+            for _ in iter_recursive_closure(base, restrictor, 4, budget=budget):
+                pass
+
+        return [
+            list(recursive_closure(base, restrictor, 4)),
+            _outcome(blocking, QueryBudget(max_visited=max_visited)),
+            _outcome(streaming, QueryBudget(max_visited=max_visited)),
+        ]
+
+    set_free = runs()
+    assert set_free[1] == set_free[2]
+    if max_visited < 50:
+        assert set_free[1][0] == "max_visited", set_free[1]
+    for name in ("_rounds", "_shortest"):
+        loop = getattr(restrictors, name)
+        monkeypatch.setattr(restrictors, name, lambda *args, _loop=loop: _loop(*args[:-1], True))
+    assert runs() == set_free
 
 
 # ----------------------------------------------------------------------
