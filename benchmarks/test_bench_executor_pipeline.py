@@ -69,7 +69,7 @@ def test_auto_routes_streaming_workloads_to_pipeline(engines, workload) -> None:
     assert engine.query_plan(plan).executor == "materialize"
 
 
-def test_pipeline_wins_on_early_termination(measured) -> None:
+def test_limited_pipeline_builds_fewer_intermediate_paths(measured) -> None:
     """LIMIT-k pulls touch fewer intermediate paths than full materialization.
 
     Counted, not timed: the limited pipeline stops after the first ``k``

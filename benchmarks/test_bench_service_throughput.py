@@ -192,7 +192,7 @@ def test_cache_cold_process_rows_run_in_forked_workers(measured) -> None:
         assert 2 <= len(served) <= workers, row
 
 
-def test_cache_hot_service_beats_serial(measured) -> None:
+def test_cache_hot_duplicates_are_served_not_executed(measured) -> None:
     """Where the cache-hot throughput win comes from, as counts.
 
     On the repeat-heavy read-only batch the shared result cache serves the

@@ -41,6 +41,7 @@ one coherent API.
 from __future__ import annotations
 
 import time
+import warnings
 from typing import Any, Mapping
 
 from repro.engine.engine import CachedPlan, ExplainResult, PathQueryEngine, QueryResult
@@ -48,7 +49,6 @@ from repro.engine.executor import EXECUTOR_NAMES
 from repro.engine.results import ResultCursor
 from repro.errors import ServiceError
 from repro.execution import QueryBudget
-from repro.graph.compact import AutoCompactPolicy
 from repro.graph.model import PropertyGraph
 from repro.graph.snapshot import GraphSnapshot
 from repro.graph.wal import DurableStore
@@ -119,6 +119,10 @@ class Database:
     against the *live* graph; :meth:`session` pins a snapshot for repeatable
     reads.  Closing the database closes the service (if one was started);
     sessions and cursors opened from it are independent and close separately.
+
+    No read builds the graph's columnar core: call ``graph.freeze()`` or
+    ``graph.ensure_compact()`` for that.  The ``auto_compact`` keyword is a
+    deprecated no-op that only warns.
     """
 
     def __init__(
@@ -132,8 +136,15 @@ class Database:
         cache_stripes: int = 8,
         workers: int = 4,
         execution_mode: str = "threads",
-        auto_compact: bool = True,
+        auto_compact: bool | None = None,
     ) -> None:
+        if auto_compact is not None:
+            warnings.warn(
+                "Database(auto_compact=) does nothing: no read builds the columnar "
+                "core; call graph.freeze() or graph.ensure_compact() to build it",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         if executor not in EXECUTOR_NAMES:
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of {', '.join(EXECUTOR_NAMES)}"
@@ -157,12 +168,6 @@ class Database:
         self.default_execution_mode = execution_mode
         self._optimize = optimize
         self._default_max_length = default_max_length
-        # Auto-freeze on read: sessions/snapshots observe the graph and build
-        # its columnar core once it looks quiescent (two consecutive reads at
-        # one version); any mutation transparently thaws.  See
-        # AutoCompactPolicy for the exact heuristic and README "Freezing".
-        self.auto_compact = auto_compact
-        self._compact_policy = AutoCompactPolicy()
         self._service: QueryService | None = None
         self._store: DurableStore | None = None
         self._closed = False
@@ -249,8 +254,6 @@ class Database:
         seconds and is measured per execution (not per session).
         """
         self._ensure_open()
-        if self.auto_compact:
-            self._compact_policy.observe(self.graph)
         return Session(
             self,
             executor=executor,
@@ -303,8 +306,6 @@ class Database:
 
     def snapshot(self) -> GraphSnapshot:
         """An immutable snapshot of the graph as of now."""
-        if self.auto_compact:
-            self._compact_policy.observe(self.graph)
         return self.graph.snapshot()
 
     def cache_stats(self) -> dict[str, int]:

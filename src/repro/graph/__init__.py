@@ -1,7 +1,7 @@
 """Property-graph data model (paper Section 2.1) and supporting utilities."""
 
 from repro.graph.builder import GraphBuilder
-from repro.graph.compact import AutoCompactPolicy, CompactGraph, compact_core_of
+from repro.graph.compact import CompactGraph, compact_core_of
 from repro.graph.delta import GraphDelta, QueryFootprint
 from repro.graph.io import (
     graph_from_dict,
@@ -36,7 +36,6 @@ __all__ = [
     "GraphBuilder",
     "CompactGraph",
     "compact_core_of",
-    "AutoCompactPolicy",
     "GraphDelta",
     "QueryFootprint",
     "WriteAheadLog",

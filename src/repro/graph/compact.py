@@ -30,6 +30,10 @@ lazily and memoized — scans and adjacency expansion read the columns directly
 the graph's own identifiers, so a frozen graph and a mutable one execute the same
 closure code.
 
+A core exists only where a caller asked for one: ``PropertyGraph.freeze()``
+and ``ensure_compact()`` build it, and no read path does.  A graph that is
+never frozen is read through its objects, at the same answers and row order.
+
 Pickling ships only the flat columns (object memos are dropped), which is what
 makes ``spawn``-mode process workers cheap: the wire payload is a handful of
 arrays instead of a web of dataclass instances.
@@ -44,7 +48,7 @@ from repro.errors import FrozenGraphError, UnknownObjectError
 from repro.graph.model import Edge, Node, materialize
 from repro.paths.path import Path
 
-__all__ = ["CompactGraph", "compact_core_of", "AutoCompactPolicy"]
+__all__ = ["CompactGraph", "compact_core_of"]
 
 # Property columns store interned (key_code, value) pair tuples; empty
 # property maps share this singleton.
@@ -66,42 +70,6 @@ def compact_core_of(graph) -> "CompactGraph | None":
     if probe is None:
         return None
     return probe()
-
-
-class AutoCompactPolicy:
-    """Freeze-on-read heuristic for the read-mostly serving paths.
-
-    ``Database`` and ``QueryService`` call :meth:`observe` on every read
-    (session open, snapshot pin, query submit).  The columnar core is built on
-    the **second consecutive read observing the same graph version** — two
-    reads with no interleaved write is the "no writer active" signal — so a
-    write-heavy phase never pays an O(V+E) rebuild per mutation, while a
-    quiescent graph is compacted after exactly one probe read.  A mutation
-    transparently *thaws*: the graph drops its core and the probe restarts.
-
-    Races are benign: the worst interleaving builds the core twice or delays
-    it by one read, never produces a stale core (``ensure_compact`` checks
-    the version under the graph lock).
-    """
-
-    __slots__ = ("_probe",)
-
-    def __init__(self) -> None:
-        self._probe = -1
-
-    def observe(self, graph) -> None:
-        """Note one read of ``graph``; compact it if it looks quiescent."""
-        probe = getattr(graph, "compact_core", None)
-        ensure = getattr(graph, "ensure_compact", None)
-        if probe is None or ensure is None:
-            return
-        if probe() is not None:
-            return
-        version = graph.version
-        if self._probe == version:
-            ensure()
-        else:
-            self._probe = version
 
 
 class CompactGraph:

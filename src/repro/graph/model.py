@@ -522,10 +522,8 @@ class PropertyGraph:
     def thaw(self) -> "PropertyGraph":
         """Re-enable mutation after :meth:`freeze`; drops the columnar core.
 
-        This is the explicit form of the transparent thaw the
-        :class:`~repro.api.Database` auto-freeze performs: a write request
-        against an auto-frozen graph thaws it, applies the mutation, and the
-        next read re-freezes at the new version.
+        Only :meth:`freeze` and :meth:`ensure_compact` build a core again;
+        no read does.
         """
         with self._lock:
             self._frozen = False
@@ -537,9 +535,10 @@ class PropertyGraph:
         version, building (and caching) it if necessary.
 
         Unlike :meth:`freeze` this does not disable mutation — the core is
-        simply invalidated by the next write.  Read-heavy consumers (the
-        ``Database`` session path, the ``QueryService``) call this on first
-        read so scans and expands read the columns whenever the graph is quiescent.
+        simply invalidated by the next write, and nothing rebuilds it until
+        the caller asks again.  No read path calls this: a caller that knows
+        its graph is read-mostly calls it once, and scans and expands read
+        the columns until the next write.
         """
         with self._lock:
             return self._ensure_compact_locked()

@@ -505,7 +505,9 @@ class DurableStore:
             payload = graph_to_dict(self.graph)
             tmp = self.snapshot_path.with_name(self.snapshot_path.name + ".tmp")
             with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=False)
+                # One C-encoded write: json.dump would run the pure-Python
+                # encoder and make one small write per token.
+                handle.write(json.dumps(payload, separators=(",", ":")))
                 handle.flush()
                 os.fsync(handle.fileno())
             self._crash(CrashPoint.ROTATE_SNAPSHOT_TMP)

@@ -56,7 +56,6 @@ from repro.engine.engine import PathQueryEngine
 from repro.engine.executor import EXECUTOR_NAMES
 from repro.errors import BudgetExceeded, ServiceError, ServiceOverloadedError
 from repro.execution import QueryBudget
-from repro.graph.compact import AutoCompactPolicy
 from repro.graph.delta import QueryFootprint
 from repro.graph.model import PropertyGraph
 from repro.graph.snapshot import GraphSnapshot
@@ -428,7 +427,9 @@ class QueryService:
     Args:
         graph: The live graph to serve; submissions snapshot it (mutations
             through :meth:`PropertyGraph.add_node` / ``add_edge`` remain the
-            caller's job and are safe to interleave with queries).
+            caller's job and are safe to interleave with queries).  No
+            submission builds its columnar core; a graph its owner froze is
+            read through the core, any other through its objects.
         workers: Worker-thread count.  ``0`` executes every submission inline
             on the calling thread (the serial mode used as the benchmark
             baseline) while keeping the full snapshot/caching semantics.
@@ -490,7 +491,6 @@ class QueryService:
         plan_cache: StripedLRUCache | None = None,
         execution_mode: str = "threads",
         pool_options: dict[str, Any] | None = None,
-        auto_compact: bool = True,
     ) -> None:
         if workers < 0:
             raise ServiceError(f"workers must be >= 0, got {workers}")
@@ -511,11 +511,6 @@ class QueryService:
         self.graph = graph
         self.workers = workers
         self.execution_mode = execution_mode
-        # Auto-freeze on read: submissions that pin their own snapshot (no
-        # caller-provided one) observe the graph; two consecutive quiescent
-        # observations build the columnar core, any mutation thaws it.
-        self.auto_compact = auto_compact
-        self._compact_policy = AutoCompactPolicy()
         self.default_executor = executor
         self.default_deadline = default_deadline
         self.default_max_visited = default_max_visited
@@ -606,8 +601,6 @@ class QueryService:
     ) -> _Request:
         """Stamp and pin one request (caller holds ``_submit_lock``)."""
         relative = deadline if deadline is not None else self.default_deadline
-        if snapshot is None and self.auto_compact:
-            self._compact_policy.observe(self.graph)
         now = time.monotonic()
         return _Request(
             text=text,

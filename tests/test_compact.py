@@ -7,7 +7,7 @@ over the compact core must be *byte-identical* to the one computed over the
 mutable object graph — same paths, same production order, same partial
 progress when a budget kills the query mid-closure.  This suite locks that
 contract over the shared 50-graph corpus, plus the freeze/thaw lifecycle,
-the auto-compact heuristic, the int encoding itself, and the memory story
+the rule that no read builds a core, the int encoding itself, and the memory story
 the whole exercise exists for.
 """
 
@@ -26,7 +26,7 @@ from repro.datasets.generators import complete_graph, random_graph
 from repro.engine.physical import execute_pipeline
 from repro.errors import BudgetExceeded, FrozenGraphError
 from repro.execution import QueryBudget
-from repro.graph.compact import AutoCompactPolicy, CompactGraph, compact_core_of
+from repro.graph.compact import CompactGraph, compact_core_of
 from repro.graph.model import PropertyGraph
 from repro.paths.intpath import IntPath, IntPathSet, decode_seq, encode_seq
 from repro.paths.pathset import PathSet
@@ -35,6 +35,7 @@ from repro.semantics.restrictors import (
     iter_recursive_closure,
     recursive_closure,
 )
+from repro.service import QueryService
 
 ALL_GRAPHS: list[PropertyGraph] = closure_corpus()
 RESTRICTORS = tuple(Restrictor)
@@ -191,50 +192,130 @@ class TestFreezeLifecycle:
 
 
 # ----------------------------------------------------------------------
-# Auto-compact: freeze on second consecutive quiescent read
+# No read builds a core: only freeze() / ensure_compact() do
 # ----------------------------------------------------------------------
-class TestAutoCompact:
-    def test_policy_waits_for_two_reads_at_one_version(self) -> None:
-        graph = figure1_graph()
-        policy = AutoCompactPolicy()
-        policy.observe(graph)
-        assert graph.compact_core() is None  # first read only records
-        policy.observe(graph)
-        assert graph.compact_core() is not None  # second read builds
+#: Closures, a join and a label scan: every access path a core could serve.
+NO_BUILD_QUERIES = (
+    "MATCH ALL ACYCLIC p = (?x)-[Knows+]->(?y)",
+    "MATCH ALL TRAIL p = (?x)-[Knows/Likes]->(?y)",
+    "MATCH ANY SHORTEST WALK p = (?x)-[Knows]->+(?y)",
+    "MATCH ALL WALK p = (?x)-[Likes]->(?y)",
+)
 
-    def test_policy_resets_on_interleaved_writes(self) -> None:
-        graph = figure1_graph()
-        policy = AutoCompactPolicy()
-        policy.observe(graph)
-        graph.add_node("writer-active", "Person")
-        policy.observe(graph)  # version moved: records the new version
+
+@pytest.fixture
+def core_builds(monkeypatch) -> list[int]:
+    """Spy on ``CompactGraph.from_graph``: one entry per core built."""
+    builds: list[int] = []
+    build = CompactGraph.from_graph.__func__
+
+    def spy(cls, source):
+        builds.append(source.version)
+        return build(cls, source)
+
+    monkeypatch.setattr(CompactGraph, "from_graph", classmethod(spy))
+    return builds
+
+
+def _oracle(graph: PropertyGraph, text: str) -> list[str]:
+    fresh = Database(graph, plan_cache_size=0, executor="materialize")
+    return [str(path) for path in fresh.query(text).paths]
+
+
+def _read_everywhere(db: Database, services, text: str) -> list[list[str]]:
+    """Run ``text`` once through every read surface; one row list each."""
+    answers = [
+        list(db.query(text).paths),
+        db.execute(text).fetchall(),
+        list(db.session().query(text).paths),
+        list(db.engine.query(text, graph=db.snapshot()).paths),
+    ]
+    for service in services:
+        for submit in (service.submit, service.try_submit):
+            outcome = submit(text).result(timeout=30)
+            assert outcome.ok, outcome.error
+            answers.append(list(outcome.paths))
+    return [[str(path) for path in rows] for rows in answers]
+
+
+@pytest.fixture
+def surfaces():
+    """Figure 1 behind a ``Database`` and ``QueryService`` at 1 and 0 workers."""
+    graph = figure1_graph()
+    services = [QueryService(graph, workers=workers) for workers in (1, 0)]
+    yield graph, Database(graph), services
+    for service in services:
+        service.close()
+
+
+class TestNoReadBuildsACore:
+    def test_write_interleaved_reads_build_nothing(self, surfaces, core_builds) -> None:
+        graph, db, services = surfaces
+        for step in range(3):
+            graph.add_node(f"w{step}", "Person", {"name": f"W{step}"})
+            graph.add_edge(f"we{step}", "n4", f"w{step}", "Knows")
+            for text in NO_BUILD_QUERIES:
+                expected = _oracle(graph, text)
+                # Two reads at one version: where a freeze-on-read policy builds.
+                for _ in range(2):
+                    for rows in _read_everywhere(db, services, text):
+                        assert rows == expected
+        assert core_builds == []
         assert graph.compact_core() is None
-        policy.observe(graph)
-        assert graph.compact_core() is not None
 
-    def test_database_auto_freezes_and_thaws_transparently(self) -> None:
-        db = Database(figure1_graph())
-        query = "MATCH ALL ACYCLIC p = (?x)-[Knows+]->(?y)"
-        db.query(query)
-        db.query(query)
-        assert db.graph.compact_core() is not None
-        before = db.query(query).paths
-        # A mutation transparently thaws: the core is dropped, writes work,
-        # and subsequent reads re-freeze at the new version.
-        db.graph.add_node("late-arrival", "Person")
-        assert db.graph.compact_core() is None
-        db.query(query)
-        db.query(query)
-        core = db.graph.compact_core()
-        assert core is not None and core.has_node("late-arrival")
-        assert db.query(query).paths == before
+    def test_quiescent_reads_build_nothing(self, surfaces, core_builds) -> None:
+        graph, db, services = surfaces
+        for text in NO_BUILD_QUERIES:
+            expected = _oracle(graph, text)
+            for _ in range(3):
+                for rows in _read_everywhere(db, services, text):
+                    assert rows == expected
+        assert core_builds == []
+        assert graph.compact_core() is None
 
+    def test_explicit_builds_once_per_version_and_a_write_drops_it(
+        self, surfaces, core_builds
+    ) -> None:
+        graph, db, services = surfaces
+        text = NO_BUILD_QUERIES[0]
+        core = graph.ensure_compact()
+        assert graph.ensure_compact() is core
+        assert core_builds == [graph.version]
+        expected = _oracle(graph, text)
+        for rows in _read_everywhere(db, services, text):
+            assert rows == expected
+        assert graph.compact_core() is core
+        # A write drops the core; reads after it do not bring it back.
+        graph.add_node("late-arrival", "Person")
+        graph.add_edge("late-edge", "n4", "late-arrival", "Knows")
+        assert graph.compact_core() is None
+        expected = _oracle(graph, text)
+        for _ in range(2):
+            for rows in _read_everywhere(db, services, text):
+                assert rows == expected
+        assert graph.compact_core() is None
+        assert len(core_builds) == 1
+        # freeze() builds at the new version, once; thaw() drops it.
+        graph.freeze()
+        graph.freeze()
+        assert core_builds == [core.version, graph.version]
+        assert graph.compact_core().has_node("late-arrival")
+        for rows in _read_everywhere(db, services, text):
+            assert rows == expected
+        graph.thaw()
+        assert graph.compact_core() is None
+
+
+class TestAutoCompact:
     def test_database_auto_compact_can_be_disabled(self) -> None:
-        db = Database(figure1_graph(), auto_compact=False)
-        query = "MATCH ALL ACYCLIC p = (?x)-[Knows+]->(?y)"
-        for _ in range(3):
-            db.query(query)
-        assert db.graph.compact_core() is None
+        # The keyword is a deprecated no-op: any value warns, none builds.
+        for value in (False, True):
+            with pytest.warns(DeprecationWarning, match="freeze"):
+                db = Database(figure1_graph(), auto_compact=value)
+            query = "MATCH ALL ACYCLIC p = (?x)-[Knows+]->(?y)"
+            for _ in range(3):
+                db.query(query)
+            assert db.graph.compact_core() is None
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ import zlib
 import pytest
 
 from repro.errors import GraphError, WalCorruptError
+from repro.graph.io import graph_to_dict
 from repro.graph.model import PropertyGraph
 from repro.graph.wal import (
     CrashPoint,
@@ -294,6 +295,28 @@ class TestRecoveryEdgeCases:
         with DurableStore(directory) as store:
             assert store.graph.version == 8
             assert store.stale_records == 0
+
+    def test_indented_snapshot_recovers_to_the_same_graph(self, tmp_path) -> None:
+        """A snapshot in the older ``indent=2`` form still recovers."""
+        directory = tmp_path / "store"
+        with DurableStore(directory) as store:
+            _mutate(store.graph)
+            store.rotate()
+            store.graph.add_node("late")
+        snapshot_path = directory / DurableStore.SNAPSHOT_NAME
+        compact_text = snapshot_path.read_text(encoding="utf-8")
+        assert "\n" not in compact_text  # rotate writes one compact line
+        with DurableStore(directory) as store:
+            expected = graph_to_dict(store.graph)
+            assert store.graph.version == 7
+        snapshot_path.write_text(
+            json.dumps(json.loads(compact_text), indent=2), encoding="utf-8"
+        )
+        with DurableStore(directory) as store:
+            assert store.recovered_from_snapshot
+            assert store.replayed_records == 1
+            assert store.graph.version == 7
+            assert graph_to_dict(store.graph) == expected
 
     def test_version_gap_in_the_log_refuses_to_replay(self, tmp_path) -> None:
         directory = tmp_path / "store"
