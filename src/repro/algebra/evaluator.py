@@ -29,6 +29,7 @@ from repro.algebra.expressions import (
     Union,
     label_scan_input,
     seeded_closure_input,
+    shortest_selector_input,
 )
 from repro.algebra.solution_space import SolutionSpace, group_by, order_by, project
 from repro.errors import EvaluationError
@@ -54,9 +55,9 @@ class Evaluator:
         Args:
             graph: The property graph every atom (``Nodes(G)`` / ``Edges(G)``)
                 refers to.
-            default_max_length: Optional bound applied to ϕWalk nodes that do
-                not carry their own ``max_length``; keeps exploratory queries
-                from tripping the non-termination guard.
+            default_max_length: Optional bound applied to every ϕ node that
+                does not carry its own ``max_length``; keeps exploratory
+                queries from tripping ϕWalk's non-termination guard.
             budget: Optional cooperative :class:`QueryBudget`.  Checked at every
                 operator boundary (and inside the closure / join loops), so an
                 exhausted budget raises :class:`~repro.errors.BudgetExceeded`
@@ -194,14 +195,16 @@ class Evaluator:
         result = left.difference(right)
         return self._record(expression, result)
 
-    def _eval_recursive(self, expression: Recursive, seed: Condition | None = None) -> PathSet:
+    def _eval_recursive(
+        self, expression: Recursive, seed: Condition | None = None, one_per_pair: bool = False
+    ) -> PathSet:
         child = self._eval_paths(expression.child, "recursion")
         seeds = None if seed is None else child.filter(seed.evaluate)
         max_length = expression.max_length
         if max_length is None:
             max_length = self.default_max_length
         result = recursive_closure(
-            child, expression.restrictor, max_length, budget=self.budget, seeds=seeds
+            child, expression.restrictor, max_length, self.budget, seeds, one_per_pair
         )
         return self._record(expression, result, already_charged=True)
 
@@ -218,6 +221,22 @@ class Evaluator:
         return space
 
     def _eval_projection(self, expression: Projection) -> PathSet:
+        closure = shortest_selector_input(expression)
+        if closure is not None:
+            # ANY SHORTEST as one search: the quota closure is the crown's
+            # result, so γ and τ are never built (and get no row).
+            if isinstance(closure, Recursive):
+                result = self._eval_recursive(closure, one_per_pair=True)
+            else:
+                # An endpoint filter keeps or drops whole pairs: seeded or not,
+                # it commutes with the quota.
+                unseeded = (closure.child, None, closure.condition)
+                recursive, seed, residual = seeded_closure_input(closure) or unseeded
+                result = self._eval_recursive(recursive, seed, one_per_pair=True)
+                if residual is not None:
+                    result = result.filter(residual.evaluate)
+                result = self._record(closure, result)
+            return self._record(expression, result)
         child = self._eval(expression.child)
         if isinstance(child, PathSet):
             # The paper always projects a solution space; projecting a bare

@@ -48,6 +48,7 @@ __all__ = [
     "identity_crown_input",
     "label_scan_input",
     "seeded_closure_input",
+    "shortest_selector_input",
     "walk",
     "trail",
     "acyclic",
@@ -420,6 +421,47 @@ def seeded_closure_input(
     if not seed:
         return None
     return plan.child, join_conjunction(seed), join_conjunction(rest) if rest else None
+
+
+def shortest_selector_input(plan: Expression) -> Expression | None:
+    """Return ``E`` when ``plan`` is ``π(*,*,1)(τA(γST(E)))`` and ``E`` can be searched for.
+
+    That is when ``E`` is ``ϕShortest(X)``, or ``σ[c](ϕShortest(X))`` whose
+    top-level conjuncts each test only the first or only the last node.  The
+    crown keeps, per endpoint pair, the first of its shortest paths, with the
+    pairs in first-appearance order: exactly what ϕShortest yields with a
+    quota of one path per pair (``one_per_pair``, see
+    :func:`~repro.semantics.restrictors._shortest`), so the crown is never
+    built and the closure stops building a pair's other paths.  A ``first`` /
+    ``last`` test keeps or drops a whole pair, so it commutes with the quota
+    (its ``first`` part still seeds the closure, ``seeded_closure_input``);
+    ``len()``, ``node(i)`` or ``edge(i)`` could drop the pair's representative
+    and keep another of its paths, and ``Or`` / ``Not`` are not looked into —
+    those keep the crown over the full closure.
+
+    The one definition of the fact: the materializing evaluator returns the
+    quota closure as the projection's result, the pipeline streams it (so a
+    limited ``ANY SHORTEST`` stops early), ``explain`` names it.
+    """
+    if not (
+        isinstance(plan, Projection)
+        and isinstance(plan.child, OrderBy)
+        and plan.child.key is OrderByKey.A
+        and isinstance(plan.child.child, GroupBy)
+        and plan.child.child.key is GroupByKey.ST
+        and plan.spec == ProjectionSpec(ALL, ALL, 1)
+    ):
+        return None
+    closure = plan.child.child.child
+    recursive = closure
+    if isinstance(closure, Selection) and all(
+        references_only(condition, Target.FIRST) or references_only(condition, Target.LAST)
+        for condition in split_conjunction(closure.condition)
+    ):
+        recursive = closure.child
+    if isinstance(recursive, Recursive) and recursive.restrictor is Restrictor.SHORTEST:
+        return closure
+    return None
 
 
 # ----------------------------------------------------------------------

@@ -67,9 +67,11 @@ _TRACE_FORMAT = 1
 # The LDBC-interactive-style query mix: (weight, text, param names, max_length).
 # Parameter values are drawn by the generator's seeded RNG from the names
 # actually present in the generated graph, so lookups are selective but
-# non-empty.  The shortest-path probe carries a length cap: uncapped TRAIL
-# recursion over the friendship network is exponential — that is the
-# engine's restrictor semantics, not a workload we want in a pacing trace.
+# non-empty.  The shortest-path probe carries a length cap.  It was added
+# because uncapped TRAIL recursion over the friendship network is exponential;
+# since ANY SHORTEST TRAIL over single edges runs as a shortest-path search
+# (walk-to-shortest, one path per endpoint pair), the cap no longer guards
+# termination.  It stays so the recorded trace stays byte-identical.
 _LDBC_MIX: tuple[tuple[int, str, tuple[str, ...], int | None], ...] = (
     # Short point lookup: the person's direct friends (interactive IS-style).
     (4, "MATCH ALL TRAIL p = (?x {name: $name})-[Knows]->(?y)", ("name",), None),

@@ -44,6 +44,7 @@ from repro.algebra.expressions import (
     identity_crown_input,
     label_scan_input,
     seeded_closure_input,
+    shortest_selector_input,
 )
 from repro.algebra.solution_space import group_by, order_by, project
 from repro.errors import EvaluationError
@@ -137,7 +138,8 @@ class _EdgesScanOp(_PhysicalOperator):
 
 class _FilterOp(_PhysicalOperator):
     """``σ[c]``; over a label-index scan or a seeded closure, ``condition`` is
-    only the residual of ``c`` (or ``None``)."""
+    only the residual of ``c`` (or ``None``).  Named π with no condition, the
+    pass-through of an ANY SHORTEST crown (``shortest_selector_input``)."""
 
     def __init__(
         self,
@@ -311,7 +313,8 @@ class _RecursiveOp(_PhysicalOperator):
     rows) suspends the fix point instead of paying for the whole closure —
     under every restrictor, SHORTEST included.  With a ``seed`` condition (``seeded_closure_input``)
     the fix point starts from the input paths that satisfy it; extensions still
-    come from the whole input.
+    come from the whole input.  With ``one_per_pair`` (``shortest_selector_input``)
+    ϕShortest yields the first path of every endpoint pair only.
     """
 
     def __init__(
@@ -322,12 +325,14 @@ class _RecursiveOp(_PhysicalOperator):
         default_max_length: int | None,
         budget: QueryBudget | None = None,
         seed: Condition | None = None,
+        one_per_pair: bool = False,
     ) -> None:
         super().__init__(expression.operator_name(), statistics, budget)
         self._expression = expression
         self._child = child
         self._default_max_length = default_max_length
         self._seed = seed
+        self._one_per_pair = one_per_pair
 
     def paths(self) -> Iterator[Path]:
         # Every upstream operator deduplicates while streaming, so the base
@@ -338,7 +343,7 @@ class _RecursiveOp(_PhysicalOperator):
         if max_length is None:
             max_length = self._default_max_length
         closure = iter_recursive_closure(
-            base, self._expression.restrictor, max_length, budget=self._budget, seeds=seeds
+            base, self._expression.restrictor, max_length, self._budget, seeds, self._one_per_pair
         )
         for path in closure:
             yield self._emit(path)
@@ -457,7 +462,10 @@ def _build(
     statistics: ExecutionStatistics,
     default_max_length: int | None,
     budget: QueryBudget | None = None,
+    one_per_pair: bool = False,
 ) -> _PhysicalOperator:
+    """``one_per_pair``: ``plan`` is the input of an ANY SHORTEST crown that
+    ``shortest_selector_input`` recognised, so its ϕShortest runs with the quota."""
     if isinstance(plan, NodesScan):
         return _NodesScanOp(graph, statistics, budget)
     if isinstance(plan, EdgesScan):
@@ -474,10 +482,11 @@ def _build(
                 default_max_length,
                 budget,
                 seed,
+                one_per_pair,
             )
         elif indexed is None:
             condition = plan.condition
-            child = _build(plan.child, graph, statistics, default_max_length, budget)
+            child = _build(plan.child, graph, statistics, default_max_length, budget, one_per_pair)
         else:
             label, condition = indexed
             child = _EdgesScanOp(graph, statistics, budget, label)
@@ -521,8 +530,14 @@ def _build(
             statistics,
             default_max_length,
             budget,
+            one_per_pair=one_per_pair,
         )
     if isinstance(plan, (GroupBy, OrderBy, Projection)):
+        closure = shortest_selector_input(plan)
+        if closure is not None:
+            # ANY SHORTEST streams: π passes the quota closure through.
+            child = _build(closure, graph, statistics, default_max_length, budget, True)
+            return _FilterOp(plan.operator_name(), None, child, statistics, budget)
         pipeline, base = _collect_solution_space_pipeline(plan)
         child = _build(base, graph, statistics, default_max_length, budget)
         return _SolutionSpaceOp(child, pipeline, statistics, budget)
@@ -536,11 +551,14 @@ def access_paths(plan: Expression, pipelined: bool) -> list[str | None]:
     neither): ``label-index(L)`` on a selection read off the label index,
     ``full scan`` on an atom read whole, ``hash join``, ``seeded
     closure(first: c)`` on a selection whose ϕ starts from the input paths
-    satisfying ``c``, and — under the pipeline only, the materializing
+    satisfying ``c``, ``shortest search (1 per pair)`` on an ANY SHORTEST
+    projection whose ϕShortest runs with a quota of one path per endpoint
+    pair, and — under the pipeline only, the materializing
     evaluator always hashes — ``expand(out, L)`` on a join whose right operand
     is such an index lookup (that operand is then part of the expand and
     carries no note of its own).  Follows the same ``label_scan_input`` /
-    ``seeded_closure_input`` decisions as ``_build`` and the evaluator.
+    ``seeded_closure_input`` / ``shortest_selector_input`` decisions as
+    ``_build`` and the evaluator.
     """
     notes: list[str | None] = []
 
@@ -553,6 +571,8 @@ def access_paths(plan: Expression, pipelined: bool) -> list[str | None]:
             notes.append(None)
         elif seeded is not None:
             notes.append(f"seeded closure(first: {seeded[1]})")
+        elif shortest_selector_input(node) is not None:
+            notes.append("shortest search (1 per pair)")
         elif indexed is not None:
             notes.append(f"label-index({indexed[0]})")
         elif isinstance(node, (EdgesScan, NodesScan)):

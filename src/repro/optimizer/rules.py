@@ -17,7 +17,9 @@ Implemented rules:
   singleton collections (the paper's ``τPG`` over ``γ`` example);
 * :class:`WalkToShortest` — replace ``ϕWalk`` by ``ϕShortest`` under the
   ``ANY SHORTEST`` / ``ALL SHORTEST`` pipelines of Table 7, which restores
-  termination on cyclic graphs (Section 7.3);
+  termination on cyclic graphs (Section 7.3); under ``ANY SHORTEST`` also
+  ``ϕTrail`` / ``ϕSimple`` over single edges, whose shortest paths are the
+  shortest walks;
 * :class:`SimplifyUnionDuplicates` — ``A ∪ A -> A``;
 * :class:`EliminateIdentityCrown` — ``π(*,*,*)(γψ(E)) -> E`` (Table 7's ``ALL``)
   and ``π(*,1,*)(τG(γSTL(ϕShortest(X)))) -> ϕShortest(X)``.
@@ -33,6 +35,7 @@ from repro.algebra.conditions import (
     split_conjunction,
 )
 from repro.algebra.expressions import (
+    EdgesScan,
     Expression,
     GroupBy,
     Join,
@@ -188,6 +191,20 @@ class WalkToShortest(RewriteRule):
     In both, only minimum-length paths per endpoint pair can survive the
     projection, so computing the full (possibly infinite) walk closure is
     unnecessary; ``ϕShortest`` produces the same result and always terminates.
+
+    ``ϕTrail`` and ``ϕSimple`` collapse the same way when ``X`` is single
+    edges (``Edges(G)`` or ``σ(Edges(G))``, the label scan included): a
+    minimum-length walk between distinct endpoints repeats no node, and a
+    minimum closed walk is a simple cycle, so each pair's minimum-length
+    trails (simple paths) are exactly its minimum-length walks, under any
+    length bound, found in the same (length, base position) order.  Only
+    under ANY SHORTEST: under ALL SHORTEST the crown over ϕShortest is then
+    eliminated as an identity, and a bare ϕShortest lists a pair's paths in
+    pop order, interleaved with other pairs, where the crown lists them pair
+    by pair — the same paths in another row order.  Not over a multi-edge
+    base: composing a→x→b with b→x→c repeats x where no shorter trail may
+    exist.  Not ``ϕAcyclic``, which also drops ``first = last`` — a condition
+    the algebra has no term for.
     """
 
     name = "walk-to-shortest"
@@ -202,10 +219,6 @@ class WalkToShortest(RewriteRule):
         if not isinstance(group, GroupBy):
             return None
         recursive = group.child
-        target = self._find_walk(recursive)
-        if target is None:
-            return None
-
         spec = expression.spec
         any_shortest_shape = (
             spec.partitions == "*"
@@ -223,19 +236,30 @@ class WalkToShortest(RewriteRule):
         )
         if not (any_shortest_shape or all_shortest_shape):
             return None
+        target = self._find_walk(recursive, single_edges_collapse=any_shortest_shape)
+        if target is None:
+            return None
 
         rewritten = self._replace_walk(recursive, target)
         return Projection(OrderBy(GroupBy(rewritten, group.key), order.key), spec)
 
     @staticmethod
-    def _find_walk(expression: Expression) -> Recursive | None:
-        """Return the ϕWalk node if ``expression`` is ϕWalk or σ(ϕWalk)."""
-        if isinstance(expression, Recursive) and expression.restrictor is Restrictor.WALK:
-            return expression
+    def _find_walk(expression: Expression, single_edges_collapse: bool) -> Recursive | None:
+        """Return the ϕ node if ``expression`` is ϕ or σ(ϕ) and that ϕ is ϕWalk —
+        or, with ``single_edges_collapse``, ϕTrail / ϕSimple over ``Edges(G)``
+        or ``σ(Edges(G))``."""
         if isinstance(expression, Selection):
-            child = expression.child
-            if isinstance(child, Recursive) and child.restrictor is Restrictor.WALK:
-                return child
+            expression = expression.child
+        if not isinstance(expression, Recursive):
+            return None
+        if expression.restrictor is Restrictor.WALK:
+            return expression
+        if single_edges_collapse and expression.restrictor in (Restrictor.TRAIL, Restrictor.SIMPLE):
+            base = expression.child
+            if isinstance(base, Selection):
+                base = base.child
+            if isinstance(base, EdgesScan):
+                return expression
         return None
 
     @staticmethod

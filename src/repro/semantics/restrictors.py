@@ -139,6 +139,7 @@ def recursive_closure(
     max_length: int | None = None,
     budget: QueryBudget | None = None,
     seeds: PathSet | None = None,
+    one_per_pair: bool = False,
 ) -> PathSet:
     """Evaluate ``ϕ_restrictor(base)`` (Definition 4.1 specialized per Section 4).
 
@@ -161,6 +162,10 @@ def recursive_closure(
             :func:`~repro.algebra.expressions.seeded_closure_input`).  ϕWalk's
             non-termination bound and ϕShortest's base domination keep
             reading all of ``base``.
+        one_per_pair: ϕShortest only: keep the first path of every endpoint
+            pair and nothing else — ``π(*,*,1)(τA(γST(ϕShortest(base))))`` in
+            its row order, found as one search (see :func:`_shortest` and
+            :func:`~repro.algebra.expressions.shortest_selector_input`).
 
     Raises:
         NonTerminatingQueryError: for WALK without ``max_length`` when the
@@ -169,7 +174,7 @@ def recursive_closure(
             reachable cycle and therefore infinitely many walks).
         BudgetExceeded: when ``budget`` is exhausted before the fix point.
     """
-    graph, paths, produced = _closure(base, restrictor, max_length, budget, seeds)
+    graph, paths, produced = _closure(base, restrictor, max_length, budget, seeds, one_per_pair)
     # Drain the kernel before decoding: its working set (seen, frontier, queue)
     # is freed before any Path is built, which measured 4-13 % faster than
     # decoding while the generator is still alive.
@@ -185,6 +190,7 @@ def iter_recursive_closure(
     max_length: int | None = None,
     budget: QueryBudget | None = None,
     seeds: PathSet | None = None,
+    one_per_pair: bool = False,
 ) -> Iterator[Path]:
     """Lazily yield ``ϕ_restrictor(base)``: the base first, then each fix-point round.
 
@@ -205,7 +211,7 @@ def iter_recursive_closure(
     an over-long walk would be generated, so a consumer that stops earlier
     never sees it.
     """
-    graph, paths, produced = _closure(base, restrictor, max_length, budget, seeds)
+    graph, paths, produced = _closure(base, restrictor, max_length, budget, seeds, one_per_pair)
     yield from paths
     unchecked = Path._unchecked
     for seq in produced:
@@ -238,6 +244,7 @@ def _closure(
     max_length: int | None,
     budget: QueryBudget | None,
     seeds: PathSet | None,
+    one_per_pair: bool = False,
 ) -> tuple[object, list[Path], Iterable[_Seq]]:
     """The closure as ``(graph, paths it starts with, interleaved tuples that follow)``.
 
@@ -259,7 +266,7 @@ def _closure(
     # Mixed lengths do not: with {0, 1}, (n) ∘ e is the start path e itself.
     dedup = len({len(seq) for seq in seqs}) > 1
     if restrictor is Restrictor.SHORTEST:
-        return graph, [], _shortest(seqs, origin_seqs, max_length, budget, dedup)
+        return graph, [], _shortest(seqs, origin_seqs, max_length, budget, one_per_pair, dedup)
     predicate = _PREDICATES.get(restrictor)
     start = [
         (path, seq)
@@ -439,6 +446,7 @@ def _shortest(
     origin: list[_Seq],
     max_length: int | None,
     budget: QueryBudget | None,
+    one_per_pair: bool,
     dedup: bool,
 ) -> Iterator[_Seq]:
     """All minimum-length closure paths per endpoint pair (ϕShortest), in pop order.
@@ -466,8 +474,21 @@ def _shortest(
     its distance and every path that survives the check is final: each is
     yielded as it is popped.  As in :func:`_rounds`, only a base of mixed
     lengths can push one tuple twice, so only then is a ``seen`` set kept.
+
+    ``one_per_pair`` is ANY SHORTEST's quota of one: the first pop of a pair is
+    yielded, and a later pop of the pair is neither yielded nor extended, nor
+    is an extension onto a settled pair pushed.  That keeps exactly the path
+    the crown ``π(*,*,1)(τA(γST(·)))`` keeps (shortest, then first in pop
+    order), in the same row order: if p₁ pops before p₂ with the same
+    endpoints, every p₁ ∘ e is pushed before p₂ ∘ e into the same bucket, so
+    the first pop of every pair extends the first pop of its prefix's pair
+    and dropping p₂ drops no first pop.  The paths built fall from every
+    shortest path of every pair to about one per reached pair.  The quota
+    costs no test per pop: a settled pair records its distance minus one, so
+    a tie fails the same ``>`` tests a longer path fails.
     """
     bound = sys.maxsize if max_length is None else max_length
+    tie = 1 if one_per_pair else 0
     best_base: dict[tuple[Hashable, Hashable], int] = {}
     buckets: dict[Hashable, list[tuple[int, Hashable, _Seq]]] = {}
     for seq in base:
@@ -510,7 +531,7 @@ def _shortest(
             key = (first, seq[-1])
             known = best.get(key)
             if known is None:
-                best[key] = length
+                best[key] = length - tie
             elif length > known:
                 continue
             yield seq

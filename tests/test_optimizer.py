@@ -180,14 +180,29 @@ class TestWalkToShortest:
         )
         assert WalkToShortest().apply(plan) is None
 
-    def test_trail_recursion_not_rewritten(self) -> None:
-        plan = Projection(
-            OrderBy(
-                GroupBy(Recursive(knows_scan(), Restrictor.TRAIL), GroupByKey.ST),
-                OrderByKey.A,
-            ),
+    @staticmethod
+    def _any_shortest_plan(base, restrictor: Restrictor) -> Projection:
+        return Projection(
+            OrderBy(GroupBy(Recursive(base, restrictor), GroupByKey.ST), OrderByKey.A),
             ProjectionSpec("*", "*", 1),
         )
+
+    @pytest.mark.parametrize("restrictor", [Restrictor.TRAIL, Restrictor.SIMPLE, Restrictor.ACYCLIC])
+    def test_trail_over_a_multi_edge_base_not_rewritten(self, restrictor: Restrictor) -> None:
+        """A shortest trail over Knows/Knows may be longer than the shortest walk."""
+        plan = self._any_shortest_plan(Join(knows_scan(), knows_scan()), restrictor)
+        assert WalkToShortest().apply(plan) is None
+
+    @pytest.mark.parametrize("restrictor", [Restrictor.TRAIL, Restrictor.SIMPLE])
+    @pytest.mark.parametrize("base", [knows_scan(), EdgesScan()], ids=["label-scan", "edges"])
+    def test_trail_over_a_label_scan_rewritten(self, base, restrictor: Restrictor) -> None:
+        """Over single edges the shortest trails (simple paths) are the shortest walks."""
+        rewritten = WalkToShortest().apply(self._any_shortest_plan(base, restrictor))
+        assert rewritten == self._any_shortest_plan(base, Restrictor.SHORTEST)
+
+    def test_acyclic_over_a_label_scan_not_rewritten(self) -> None:
+        """ϕAcyclic drops the closed paths ϕShortest keeps."""
+        plan = self._any_shortest_plan(knows_scan(), Restrictor.ACYCLIC)
         assert WalkToShortest().apply(plan) is None
 
     def test_rewrite_restores_termination(self, figure1) -> None:

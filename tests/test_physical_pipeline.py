@@ -20,6 +20,8 @@ from repro.algebra.expressions import (
     Union,
 )
 from repro.algebra.solution_space import GroupByKey, OrderByKey, ProjectionSpec
+from repro.datasets.generators import cycle_graph
+from repro.engine.engine import PathQueryEngine
 from repro.engine.physical import build_pipeline, execute_pipeline
 from repro.errors import EvaluationError
 from repro.gql.planner import plan_text
@@ -112,6 +114,18 @@ class TestStreaming:
         assert counters["⋈"] == 1
         # The probe side stops early; only the build side is fully consumed.
         assert counters[f"σ[{label_of_edge(1, 'Knows')}]"] <= 8
+
+    def test_limited_any_shortest_streams(self) -> None:
+        """ANY SHORTEST is a quota search, not a blocking crown: a limit stops the closure."""
+        engine = PathQueryEngine(cycle_graph(64))
+        text = "MATCH ANY SHORTEST WALK p = (?x)-[Knows]->+(?y)"
+        drained = engine.query(text, executor="pipeline")
+        limited = engine.query(text, executor="pipeline", limit=5)
+        assert len(drained.paths) == 64 * 64
+        assert list(limited.paths) == list(drained.paths)[:5]
+        # A blocking crown would build all 4 096 closure paths before its first row.
+        assert limited.statistics.intermediate_paths < len(drained.paths)
+        assert limited.statistics.intermediate_paths < drained.statistics.intermediate_paths
 
 
 class TestStatisticsAndErrors:

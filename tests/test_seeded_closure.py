@@ -457,8 +457,11 @@ class TestCostModel:
     def test_auto_routes_the_ldbc_probe_where_it_did(self) -> None:
         """The ten ``ANY SHORTEST TRAIL`` probes of ``wire-ldbc-cold``: materialize, seeded or not.
 
-        Routing reads no estimate, so the seeded plan's 3× smaller one moves
-        no query: every drained text of the trace materializes.
+        Routing reads no estimate, so the seeded plan's smaller one moves no
+        query: every drained text of the trace materializes.  Seeding makes
+        the probe's ϕTrail 3× cheaper; the optimizer collapses that ϕTrail
+        over single edges to ϕShortest (``walk-to-shortest``), whose smaller
+        expansion leaves seeding less to save, but still some.
         """
         trace = generate_ldbc_trace(48, seed=7, parameters=LDBCParameters(num_persons=100, num_messages=200))
         graph = build_trace_graph(trace)
@@ -469,10 +472,18 @@ class TestCostModel:
             plan = engine.prepare(event.text, max_length=event.max_length).optimized
             assert engine.executor_for(plan) == "materialize", event.text
         model = CostModel(graph)
+        trail = PathQueryEngine(graph, optimize=False).prepare(probe, max_length=3).optimized
         plan = engine.prepare(probe, max_length=3).optimized
-        with mock.patch("repro.optimizer.cost.seeded_closure_input", lambda plan: None):
-            before = model.estimate(plan).total_cost
-        assert model.estimate(plan).total_cost < before / 3
+        assert [node.restrictor for node in trail.iter_subtree() if isinstance(node, Recursive)] == [
+            Restrictor.TRAIL
+        ]
+        assert [node.restrictor for node in plan.iter_subtree() if isinstance(node, Recursive)] == [
+            Restrictor.SHORTEST
+        ]
+        for closure, saving in ((trail, 3), (plan, 1)):
+            with mock.patch("repro.optimizer.cost.seeded_closure_input", lambda plan: None):
+                before = model.estimate(closure).total_cost
+            assert model.estimate(closure).total_cost < before / saving
 
 
 # ----------------------------------------------------------------------
