@@ -45,6 +45,7 @@ __all__ = [
     "split_conjunction",
     "join_conjunction",
     "references_only",
+    "tests_endpoints_only",
     "label_of_edge",
     "label_of_node",
     "label_of_first",
@@ -287,6 +288,21 @@ def references_only(condition: Condition, target: Target) -> bool:
     that hold on one operand of a join or on the first segment of a closure.
     """
     return isinstance(condition, (LabelCondition, PropertyCondition)) and condition.target is target
+
+
+def tests_endpoints_only(condition: Condition) -> bool:
+    """True if every top-level conjunct of ``condition`` tests only the first
+    or only the last node (:func:`references_only`).
+
+    Such a selection keeps or drops whole endpoint pairs, so it commutes with
+    anything that picks paths within a pair — a shortest-path selector above
+    it, or the choice of which of a pair's paths a closure builds.  ``len()``,
+    ``node(i)`` and ``edge(i)`` tests, and ``Or`` / ``Not``, are not looked into.
+    """
+    return all(
+        references_only(conjunct, Target.FIRST) or references_only(conjunct, Target.LAST)
+        for conjunct in split_conjunction(condition)
+    )
 
 
 def _resolve_object(path: Path, target: Target, position: int | None) -> "Node | Edge | None":

@@ -152,14 +152,21 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Operator implementations
     # ------------------------------------------------------------------
-    def _eval_selection(self, expression: Selection) -> PathSet:
+    def _eval_selection(self, expression: Selection, one_per_pair: bool = False) -> PathSet:
+        """``one_per_pair``: ``expression`` is σ(ϕShortest) under an ANY SHORTEST
+        crown (``shortest_selector_input``); its endpoint filter keeps or drops
+        whole pairs, so, seeded or not, it commutes with the quota."""
         seeded = seeded_closure_input(expression)
         indexed = label_scan_input(expression)
         if seeded is not None:
             # A seeded closure: ϕ's row counts the paths built from the seeds,
             # σ's row what is left of them after the residual.
             recursive, seed, condition = seeded
-            child = self._eval_recursive(recursive, seed)
+            child = self._eval_recursive(recursive, seed, one_per_pair)
+        elif one_per_pair:
+            assert isinstance(expression.child, Recursive)
+            child = self._eval_recursive(expression.child, one_per_pair=True)
+            condition = expression.condition
         elif indexed is None:
             child = self._eval_paths(expression.child, "selection")
             condition = expression.condition
@@ -225,17 +232,10 @@ class Evaluator:
         if closure is not None:
             # ANY SHORTEST as one search: the quota closure is the crown's
             # result, so γ and τ are never built (and get no row).
-            if isinstance(closure, Recursive):
-                result = self._eval_recursive(closure, one_per_pair=True)
+            if isinstance(closure, Selection):
+                result = self._eval_selection(closure, one_per_pair=True)
             else:
-                # An endpoint filter keeps or drops whole pairs: seeded or not,
-                # it commutes with the quota.
-                unseeded = (closure.child, None, closure.condition)
-                recursive, seed, residual = seeded_closure_input(closure) or unseeded
-                result = self._eval_recursive(recursive, seed, one_per_pair=True)
-                if residual is not None:
-                    result = result.filter(residual.evaluate)
-                result = self._record(closure, result)
+                result = self._eval_recursive(closure, one_per_pair=True)
             return self._record(expression, result)
         child = self._eval(expression.child)
         if isinstance(child, PathSet):

@@ -28,6 +28,7 @@ from repro.algebra.conditions import (
     join_conjunction,
     references_only,
     split_conjunction,
+    tests_endpoints_only,
 )
 from repro.algebra.solution_space import ALL, GroupByKey, OrderByKey, ProjectionSpec
 from repro.semantics.restrictors import Restrictor
@@ -454,10 +455,7 @@ def shortest_selector_input(plan: Expression) -> Expression | None:
         return None
     closure = plan.child.child.child
     recursive = closure
-    if isinstance(closure, Selection) and all(
-        references_only(condition, Target.FIRST) or references_only(condition, Target.LAST)
-        for condition in split_conjunction(closure.condition)
-    ):
+    if isinstance(closure, Selection) and tests_endpoints_only(closure.condition):
         recursive = closure.child
     if isinstance(recursive, Recursive) and recursive.restrictor is Restrictor.SHORTEST:
         return closure

@@ -33,6 +33,7 @@ from repro.algebra.conditions import (
     join_conjunction,
     references_only,
     split_conjunction,
+    tests_endpoints_only,
 )
 from repro.algebra.expressions import (
     EdgesScan,
@@ -191,6 +192,9 @@ class WalkToShortest(RewriteRule):
     In both, only minimum-length paths per endpoint pair can survive the
     projection, so computing the full (possibly infinite) walk closure is
     unnecessary; ``ϕShortest`` produces the same result and always terminates.
+    A selection between ϕ and the crown must test endpoints only: one on
+    ``len()`` or on an inner node or edge can reject a pair's shortest paths
+    and leave a longer one for the crown to keep.
 
     ``ϕTrail`` and ``ϕSimple`` collapse the same way when ``X`` is single
     edges (``Edges(G)`` or ``σ(Edges(G))``, the label scan included): a
@@ -247,8 +251,13 @@ class WalkToShortest(RewriteRule):
     def _find_walk(expression: Expression, single_edges_collapse: bool) -> Recursive | None:
         """Return the ϕ node if ``expression`` is ϕ or σ(ϕ) and that ϕ is ϕWalk —
         or, with ``single_edges_collapse``, ϕTrail / ϕSimple over ``Edges(G)``
-        or ``σ(Edges(G))``."""
+        or ``σ(Edges(G))``.  The σ must test endpoints only
+        (:func:`tests_endpoints_only`): ``len()``, ``node(i)`` or ``edge(i)``
+        can drop every shortest path of a pair and keep a longer one, which
+        ϕShortest never builds."""
         if isinstance(expression, Selection):
+            if not tests_endpoints_only(expression.condition):
+                return None
             expression = expression.child
         if not isinstance(expression, Recursive):
             return None

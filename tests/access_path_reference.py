@@ -75,8 +75,12 @@ class ReferenceEvaluator(Evaluator):
             return self._record(expression, PathSet.from_unique(reference_edge_paths(self.graph)))
         return super()._eval(expression)
 
-    def _eval_selection(self, expression: Selection) -> PathSet:
-        child = self._eval_paths(expression.child, "selection")
+    def _eval_selection(self, expression: Selection, one_per_pair: bool = False) -> PathSet:
+        if one_per_pair:
+            # σ(ϕShortest) under ANY SHORTEST: the quota closure, unseeded.
+            child = self._eval_recursive(expression.child, one_per_pair=True)
+        else:
+            child = self._eval_paths(expression.child, "selection")
         result = child.filter(expression.condition.evaluate)
         return self._record(expression, result)
 

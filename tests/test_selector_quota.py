@@ -20,7 +20,8 @@ residual and with a ``last`` test alone, drained and limited.
 
 The negative side pins the shapes that must keep the crown: a multi-edge or
 mixed-length base, ACYCLIC (which also drops ``first = last``), and a
-``len()`` / ``node(i)`` residual that could drop a pair's representative.
+``len()`` / ``node(i)`` residual, which could drop a pair's representative
+under the quota and every shortest path of a pair under the collapse.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from repro.algebra.expressions import (
 from repro.algebra.solution_space import ALL, GroupByKey, OrderByKey, ProjectionSpec, group_by, order_by, project
 from repro.engine.engine import PathQueryEngine
 from repro.engine.physical import access_paths
+from repro.graph.model import PropertyGraph
 from repro.paths.pathset import PathSet
 from repro.semantics.restrictors import Restrictor, iter_recursive_closure, recursive_closure
 
@@ -210,6 +212,52 @@ def test_a_path_residual_keeps_the_crown(residual) -> None:
                 if expected is None:
                     expected = _rows(result.paths)
                 assert _rows(result.paths) == expected, (graph.name, executor, optimize)
+
+
+#: WHERE clauses that are not endpoint filters: each can reject a pair's
+#: shortest paths and keep a longer one.
+PATH_RESIDUALS = ("WHERE len() >= 2", "WHERE node(2).name = 'p2'")
+
+
+def _triangle():
+    """a→b, a→c, c→b: (a, b)'s shortest path is one edge, its other trail two."""
+    graph = PropertyGraph("triangle")
+    for name in ("a", "b", "c"):
+        graph.add_node(name, "Person", {"name": name})
+    graph.add_edge("ab", "a", "b", "Knows")
+    graph.add_edge("ac", "a", "c", "Knows")
+    graph.add_edge("cb", "c", "b", "Knows")
+    return graph
+
+
+@pytest.mark.parametrize("where", ["WHERE len() >= 2", "WHERE node(2).name = 'c'"], ids=["len", "node(2)"])
+@pytest.mark.parametrize("selector", ["ANY SHORTEST", "ALL SHORTEST"])
+@pytest.mark.parametrize("restrictor", ["TRAIL", "SIMPLE", "WALK"])
+def test_a_path_residual_blocks_the_collapse(restrictor: str, selector: str, where: str) -> None:
+    """σ[len() ≥ 2](ϕ) keeps a→c→b for (a, b); over ϕShortest it would keep nothing."""
+    graph = _triangle()
+    text = f"MATCH {selector} {restrictor} p = (?x)-[Knows]->+(?y) {where}"
+    expected = _rows(PathQueryEngine(graph, optimize=False).query(text, 4, executor="materialize").paths)
+    assert ("a", "ac", "c", "cb", "b") in expected
+    for executor in EXECUTORS:
+        result = PathQueryEngine(graph).query(text, 4, executor=executor)
+        assert "walk-to-shortest" not in result.applied_rules, (text, executor)
+        assert QUOTA_NOTE not in access_paths(result.optimized_plan, executor == "pipeline")
+        assert _rows(result.paths) == expected, (text, executor)
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)), ids=[graph.name for graph in CORPUS])
+def test_a_path_residual_returns_the_crown_rows(index: int) -> None:
+    graph = CORPUS[index]
+    engines = {optimize: PathQueryEngine(graph, optimize=optimize) for optimize in (True, False)}
+    for restrictor in ("TRAIL", "SIMPLE", "WALK"):
+        for selector in ("ANY SHORTEST", "ALL SHORTEST"):
+            for where in PATH_RESIDUALS:
+                text = f"MATCH {selector} {restrictor} p = (?x)-[Knows]->+(?y) {where}"
+                expected = _rows(engines[False].query(text, 3, executor="materialize").paths)
+                for executor in EXECUTORS:
+                    result = engines[True].query(text, 3, executor=executor)
+                    assert _rows(result.paths) == expected, (graph.name, text, executor)
 
 
 def test_a_node_residual_would_drop_a_representative() -> None:
