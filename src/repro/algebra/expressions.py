@@ -18,12 +18,13 @@ can compare plans directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Iterator
 
 from repro.algebra.conditions import (
     Comparator,
     Condition,
     LabelCondition,
+    PropertyCondition,
     Target,
     join_conjunction,
     references_only,
@@ -46,6 +47,7 @@ __all__ = [
     "GroupBy",
     "OrderBy",
     "Projection",
+    "endpoint_ids_input",
     "identity_crown_input",
     "label_scan_input",
     "seeded_closure_input",
@@ -390,6 +392,52 @@ def label_scan_input(plan: Expression) -> tuple[str, Condition | None] | None:
             rest = conjuncts[:position] + conjuncts[position + 1 :]
             return condition.value, join_conjunction(rest) if rest else None
     return None
+
+
+def endpoint_ids_input(
+    condition: Condition | None,
+) -> tuple[str, Any, Condition | None] | None:
+    """Split ``c`` into ``(p, v, residual)`` when a conjunct is an endpoint-index lookup.
+
+    That is when a top-level conjunct of ``c`` is ``first.p = v`` with ``v``
+    hashable and equal to itself (not NaN): the paths ``c`` keeps then start
+    at one of the node ids the graph's endpoint-equality index lists for
+    ``(p, v)`` (:meth:`~repro.graph.model.PropertyGraph.node_ids_with`), and
+    the residual conjuncts (``None`` when there are none) decide the rest.
+    Never under ``Or`` / ``Not``, never another comparator, ``last`` or
+    ``node(1)``.  A ``$parameter`` counts, so ``explain`` names the route of
+    a parameterized text; the bound value is checked again when the plan
+    runs, and an unhashable one stays a filter.  The index may still decline
+    at run time (a node holds an unhashable value for ``p``); the conjunct
+    is then filtered like the rest.
+
+    The one definition of the fact: over a label scan (``label_scan_input``),
+    the materializing evaluator and the pipeline read σ's edges, and a seeded
+    closure's seeds (``seeded_closure_input``), from those nodes' adjacency
+    instead of filtering every edge of the label; ``explain`` names it.
+    """
+    if condition is None:
+        return None
+    conjuncts = split_conjunction(condition)
+    for position, conjunct in enumerate(conjuncts):
+        if (
+            isinstance(conjunct, PropertyCondition)
+            and conjunct.target is Target.FIRST
+            and conjunct.comparator is Comparator.EQ
+            and _is_index_key(conjunct.value)
+        ):
+            rest = conjuncts[:position] + conjuncts[position + 1 :]
+            return conjunct.property_name, conjunct.value, join_conjunction(rest) if rest else None
+    return None
+
+
+def _is_index_key(value: Any) -> bool:
+    """True if a dict lookup of ``value`` finds exactly what ``==`` finds."""
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return value == value
 
 
 def seeded_closure_input(

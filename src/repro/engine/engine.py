@@ -124,9 +124,7 @@ class ExplainResult:
             lines.append(f"Access paths: product-graph search{restriction}")
             notes = None
         else:
-            notes = access_paths(
-                self.optimized_plan, pipelined=self.chosen_executor == PipelineExecutor.name
-            )
+            notes = access_paths(self.optimized_plan)
         lines += [
             "Plan tree:",
             to_plan_tree(self.optimized_plan, notes),

@@ -41,16 +41,18 @@ from repro.algebra.expressions import (
     Recursive,
     Selection,
     Union,
+    endpoint_ids_input,
     identity_crown_input,
     label_scan_input,
     seeded_closure_input,
     shortest_selector_input,
 )
+from repro.algebra.evaluator import endpoint_sources, seed_paths
 from repro.algebra.solution_space import group_by, order_by, project
 from repro.errors import EvaluationError
 from repro.execution import ExecutionStatistics, QueryBudget
 from repro.graph.model import PropertyGraph
-from repro.paths.access import edge_paths, node_paths
+from repro.paths.access import Adjacency, edge_paths, node_paths
 from repro.paths.join_index import JoinIndex
 from repro.paths.path import Path
 from repro.paths.pathset import PathSet
@@ -118,7 +120,8 @@ class _NodesScanOp(_PhysicalOperator):
 
 
 class _EdgesScanOp(_PhysicalOperator):
-    """``Edges(G)``; with a ``label``, only the paths read off the label index."""
+    """``Edges(G)``; with a ``label`` (and ``sources``), only the paths read
+    off the label index (and those nodes' adjacency, ``endpoint_sources``)."""
 
     def __init__(
         self,
@@ -126,13 +129,15 @@ class _EdgesScanOp(_PhysicalOperator):
         statistics: ExecutionStatistics,
         budget: QueryBudget | None = None,
         label: str | None = None,
+        sources: tuple[str, ...] | None = None,
     ) -> None:
         super().__init__("Edges(G)", statistics, budget)
         self._graph = graph
         self._label = label
+        self._sources = sources
 
     def paths(self) -> Iterator[Path]:
-        for path in edge_paths(self._graph, self._label):
+        for path in edge_paths(self._graph, self._label, self._sources):
             yield self._emit(path)
 
 
@@ -188,14 +193,12 @@ class _ExpandOp(_PhysicalOperator):
     """``left ⋈ σ[c](Edges(G))`` as an adjacency expand (no hash build).
 
     The right operand is an index lookup (``label_scan_input``), so instead of
-    scanning and hashing it, each left path is extended by the out-edges of
-    its last node that carry the label and pass the residual of ``c`` — the
-    bucket the hash join would have probed, in the same order.  A node's
-    extension list is read once and kept for the lifetime of this operator
-    only.  The right operand's ``Edges(G)`` and ``σ[c]`` rows are kept: they
-    count the edges read off the adjacency index and the ones that passed.
-    A one-edge extension of a duplicate-free input is duplicate-free, so
-    there is no ``seen`` set.
+    scanning and hashing it, each left path is extended by its last node's
+    :class:`~repro.paths.access.Adjacency` extensions — the bucket the hash
+    join would have probed, in the same order.  The right operand's
+    ``Edges(G)`` and ``σ[c]`` rows are kept: they count the edges read off the
+    adjacency index and the ones that passed.  A one-edge extension of a
+    duplicate-free input is duplicate-free, so there is no ``seen`` set.
     """
 
     def __init__(
@@ -217,25 +220,17 @@ class _ExpandOp(_PhysicalOperator):
         self._condition = condition
         self._graph = graph
 
-    def _extensions(self, node_id: str) -> list[Path]:
-        read = list(edge_paths(self._graph, self._label, node_id))
-        condition = self._condition
-        kept = read if condition is None else [p for p in read if condition.evaluate(p)]
-        self.statistics.count("Edges(G)", len(read))
-        self.statistics.count(self._filter_name, len(kept))
+    def _account(self, read: int, kept: int) -> None:
+        self.statistics.count("Edges(G)", read)
+        self.statistics.count(self._filter_name, kept)
         if self._budget is not None:
-            self._budget.charge(len(read), "Edges(G)")
-            self._budget.charge(len(kept), self._filter_name)
-        return kept
+            self._budget.charge(read, "Edges(G)")
+            self._budget.charge(kept, self._filter_name)
 
     def paths(self) -> Iterator[Path]:
-        by_node: dict[str, list[Path]] = {}
+        adjacency = Adjacency(self._graph, self._label, self._condition, self._account)
         for left_path in self._left.paths():
-            node_id = left_path.last()
-            extensions = by_node.get(node_id)
-            if extensions is None:
-                extensions = by_node[node_id] = self._extensions(node_id)
-            for extension in extensions:
+            for extension in adjacency.extensions(left_path.last()):
                 yield self._emit(left_path.concat(extension))
 
 
@@ -312,8 +307,9 @@ class _RecursiveOp(_PhysicalOperator):
     pushdown, a :class:`~repro.engine.results.ResultCursor` consuming a few
     rows) suspends the fix point instead of paying for the whole closure —
     under every restrictor, SHORTEST included.  With a ``seed`` condition (``seeded_closure_input``)
-    the fix point starts from the input paths that satisfy it; extensions still
-    come from the whole input.  With ``one_per_pair`` (``shortest_selector_input``)
+    the fix point starts from the input paths that satisfy it (``seed_paths``:
+    read off the endpoint index when it can answer); extensions still come
+    from the whole input.  With ``one_per_pair`` (``shortest_selector_input``)
     ϕShortest yields the first path of every endpoint pair only.
     """
 
@@ -321,6 +317,7 @@ class _RecursiveOp(_PhysicalOperator):
         self,
         expression: Recursive,
         child: _PhysicalOperator,
+        graph: PropertyGraph,
         statistics: ExecutionStatistics,
         default_max_length: int | None,
         budget: QueryBudget | None = None,
@@ -330,6 +327,7 @@ class _RecursiveOp(_PhysicalOperator):
         super().__init__(expression.operator_name(), statistics, budget)
         self._expression = expression
         self._child = child
+        self._graph = graph
         self._default_max_length = default_max_length
         self._seed = seed
         self._one_per_pair = one_per_pair
@@ -338,7 +336,11 @@ class _RecursiveOp(_PhysicalOperator):
         # Every upstream operator deduplicates while streaming, so the base
         # can be bulk-materialized without re-probing each path.
         base = PathSet.from_unique(self._child.paths())
-        seeds = None if self._seed is None else base.filter(self._seed.evaluate)
+        seeds = (
+            None
+            if self._seed is None
+            else seed_paths(self._graph, self._expression.child, base, self._seed)
+        )
         max_length = self._expression.max_length
         if max_length is None:
             max_length = self._default_max_length
@@ -478,6 +480,7 @@ def _build(
             child = _RecursiveOp(
                 recursive,
                 _build(recursive.child, graph, statistics, default_max_length, budget),
+                graph,
                 statistics,
                 default_max_length,
                 budget,
@@ -489,7 +492,8 @@ def _build(
             child = _build(plan.child, graph, statistics, default_max_length, budget, one_per_pair)
         else:
             label, condition = indexed
-            child = _EdgesScanOp(graph, statistics, budget, label)
+            sources, condition = endpoint_sources(graph, condition)
+            child = _EdgesScanOp(graph, statistics, budget, label, sources)
         return _FilterOp(plan.operator_name(), condition, child, statistics, budget)
     if isinstance(plan, Join):
         left = _build(plan.left, graph, statistics, default_max_length, budget)
@@ -527,6 +531,7 @@ def _build(
         return _RecursiveOp(
             plan,
             _build(plan.child, graph, statistics, default_max_length, budget),
+            graph,
             statistics,
             default_max_length,
             budget,
@@ -544,37 +549,55 @@ def _build(
     raise EvaluationError(f"cannot build a physical operator for {type(plan).__name__}")
 
 
-def access_paths(plan: Expression, pipelined: bool) -> list[str | None]:
+def access_paths(plan: Expression) -> list[str | None]:
     """Name the access path of every scan and join of ``plan``, for ``explain``.
 
     One entry per node of ``plan.iter_subtree()`` (``None`` where the node is
     neither): ``label-index(L)`` on a selection read off the label index,
-    ``full scan`` on an atom read whole, ``hash join``, ``seeded
-    closure(first: c)`` on a selection whose ϕ starts from the input paths
-    satisfying ``c``, ``shortest search (1 per pair)`` on an ANY SHORTEST
-    projection whose ϕShortest runs with a quota of one path per endpoint
-    pair, and — under the pipeline only, the materializing
-    evaluator always hashes — ``expand(out, L)`` on a join whose right operand
-    is such an index lookup (that operand is then part of the expand and
-    carries no note of its own).  Follows the same ``label_scan_input`` /
-    ``seeded_closure_input`` / ``shortest_selector_input`` decisions as
-    ``_build`` and the evaluator.
+    ``endpoint-index(first.p, L)`` on one whose ``first.p = v`` conjunct is
+    read off the endpoint index first (the matching nodes' ``L`` out-edges
+    are then all that is read), ``full scan`` on an atom read whole, ``hash
+    join``, ``expand(out, L)`` on a join whose right operand is such an index
+    lookup (that operand is then part of the expand and carries no note of
+    its own), ``seeded closure(first: c)`` on a selection whose ϕ starts from
+    the input paths satisfying ``c`` — and ``seeds: endpoint-index(first.p,
+    L)`` on that ϕ when the seeds are read off the endpoint index —, and
+    ``shortest search (1 per pair)`` on an ANY SHORTEST projection whose
+    ϕShortest runs with a quota of one path per endpoint pair.  The
+    materializing evaluator and the pipeline take the same access paths,
+    with one decision left to the data: the evaluator, which holds its left
+    operand before it joins, scans ``L`` once and hashes instead of
+    expanding when that operand holds at least a third as many paths as
+    ``L`` has edges.  The notes follow the ``label_scan_input`` /
+    ``endpoint_ids_input`` / ``seeded_closure_input`` /
+    ``shortest_selector_input`` decisions both make.
     """
     notes: list[str | None] = []
 
-    def visit(node: Expression, fused: bool = False) -> None:
-        """``fused``: the node is part of an index lookup or expand noted above it."""
+    def endpoint_note(condition: Condition | None, label: str) -> str | None:
+        anchored = endpoint_ids_input(condition)
+        return None if anchored is None else f"endpoint-index(first.{anchored[0]}, {label})"
+
+    def visit(node: Expression, fused: bool = False, note: str | None = None) -> None:
+        """``fused``: the node is part of an index lookup or expand noted above it;
+        ``note``: the node's note as its parent decided it (a closure's seeds)."""
         indexed = label_scan_input(node)
         seeded = seeded_closure_input(node)
-        expand = label_scan_input(node.right) if pipelined and isinstance(node, Join) else None
+        expand = label_scan_input(node.right) if isinstance(node, Join) else None
+        seeds = None
         if fused:
             notes.append(None)
+        elif note is not None:
+            notes.append(note)
         elif seeded is not None:
             notes.append(f"seeded closure(first: {seeded[1]})")
+            base = label_scan_input(seeded[0].child)
+            anchored = None if base is None else endpoint_note(seeded[1], base[0])
+            seeds = None if anchored is None else f"seeds: {anchored}"
         elif shortest_selector_input(node) is not None:
             notes.append("shortest search (1 per pair)")
         elif indexed is not None:
-            notes.append(f"label-index({indexed[0]})")
+            notes.append(endpoint_note(indexed[1], indexed[0]) or f"label-index({indexed[0]})")
         elif isinstance(node, (EdgesScan, NodesScan)):
             notes.append("full scan")
         elif isinstance(node, Join):
@@ -582,7 +605,8 @@ def access_paths(plan: Expression, pipelined: bool) -> list[str | None]:
         else:
             notes.append(None)
         for position, child in enumerate(node.children()):
-            visit(child, fused or indexed is not None or (expand is not None and position == 1))
+            fuse = fused or indexed is not None or (expand is not None and position == 1)
+            visit(child, fuse, seeds)
 
     visit(plan)
     return notes

@@ -45,7 +45,7 @@ from array import array
 from typing import Any, Iterator, Mapping
 
 from repro.errors import FrozenGraphError, UnknownObjectError
-from repro.graph.model import Edge, Node, materialize
+from repro.graph.model import Edge, Node, materialize, value_index
 from repro.paths.path import Path
 
 __all__ = ["CompactGraph", "compact_core_of"]
@@ -112,9 +112,10 @@ class CompactGraph:
         "_nodes_by_label_part",
         "_edges_by_label_part",
         "_label_out_part",
-        # lazy object memos (never pickled)
+        # lazy object memos and the endpoint-equality index (never pickled)
         "_node_objs",
         "_edge_objs",
+        "_property_index",
     )
 
     # ------------------------------------------------------------------
@@ -148,6 +149,7 @@ class CompactGraph:
         self._label_out_part: dict[int, tuple[array, array, dict[int, int]]] = {}
         self._node_objs: list[Node | None] | None = None
         self._edge_objs: list[Edge | None] | None = None
+        self._property_index: dict[str, Any] = {}
 
     @classmethod
     def from_graph(cls, source) -> "CompactGraph":
@@ -510,6 +512,21 @@ class CompactGraph:
         ids = self._node_ids
         return [ids[targets[i]] for i in range(start, end)]
 
+    def node_ids_with(self, name: str, value: Any) -> tuple[str, ...] | None:
+        """Ids of the nodes whose property ``name`` equals ``value``, in index order.
+
+        :meth:`PropertyGraph.node_ids_with <repro.graph.model.PropertyGraph.node_ids_with>`
+        over the property columns; built per property on first use and kept
+        (the core never changes).
+        """
+        by_property = self._property_index
+        if name not in by_property:
+            by_property[name] = value_index(
+                (node.id, node.property(name)) for node in self.iter_nodes()
+            )
+        by_value = by_property[name]
+        return None if by_value is None else by_value.get(value, ())
+
     def nodes_by_label(self, label: str) -> list[Node]:
         code = self._label_codes.get(label)
         part = self._nodes_by_label_part.get(code) if code else None
@@ -523,6 +540,10 @@ class CompactGraph:
         if part is None:
             return []
         return [self._edge_obj(e) for e in part]
+
+    def num_edges_labelled(self, label: str) -> int:
+        code = self._label_codes.get(label)
+        return len(self._edges_by_label_part.get(code, ())) if code else 0
 
     def node_labels(self) -> set[str]:
         labels = self._labels
@@ -569,28 +590,32 @@ class CompactGraph:
             yield unchecked(target, (node_id,))
 
     def iter_edge_paths(
-        self, graph=None, label: str | None = None, source: str | None = None
+        self, graph=None, label: str | None = None, sources=None
     ) -> Iterator[Path]:
         """Yield ``Edges(G)`` as length-one paths straight off the endpoint
         columns (same content and order as ``Path.from_edge`` over
         ``edge_ids()``, no :class:`Edge` materialization).
 
-        ``label`` / ``source`` restrict the scan to the edges carrying that
-        label / leaving that node, read off the per-label partition and the
-        CSR runs (:meth:`label_out_slice` when both are given) — the edges a
-        filter over the full scan would keep, in the same order, without
-        touching the others.
+        ``label`` / ``sources`` restrict the scan to the edges carrying that
+        label / leaving one of those (distinct) nodes, read off the per-label
+        partition and the CSR runs (:meth:`label_out_slice` when both are
+        given) — the edges a filter over the full scan would keep, in the same
+        order, without touching the others.
         """
         target = self if graph is None else graph
-        if source is not None:
-            node_index = self._node_index.get(source)
-            if node_index is None:
-                return
-            if label is None:
-                run, _, start, end = self.out_slice(node_index)
-            else:
-                run, _, start, end = self.label_out_slice(label, node_index)
-            indexes = run[start:end]
+        if sources is not None:
+            indexes = []
+            for source in sources:
+                node_index = self._node_index.get(source)
+                if node_index is None:
+                    continue
+                if label is None:
+                    run, _, start, end = self.out_slice(node_index)
+                else:
+                    run, _, start, end = self.label_out_slice(label, node_index)
+                indexes += run[start:end]
+            if len(sources) > 1:
+                indexes.sort()
         elif label is not None:
             code = self._label_codes.get(label)
             indexes = self._edges_by_label_part.get(code, ()) if code else ()
@@ -666,7 +691,7 @@ class CompactGraph:
         return {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot not in ("_node_objs", "_edge_objs")
+            if slot not in ("_node_objs", "_edge_objs", "_property_index")
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -674,6 +699,7 @@ class CompactGraph:
             setattr(self, slot, value)
         self._node_objs = None
         self._edge_objs = None
+        self._property_index = {}
 
     # ------------------------------------------------------------------
     # Memory accounting

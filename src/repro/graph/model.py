@@ -31,6 +31,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 
 __all__ = ["Node", "Edge", "PropertyGraph", "materialize"]
 
+#: Marks a property :meth:`PropertyGraph.node_ids_with` has not indexed yet
+#: (``None`` is taken: it marks a property that cannot be indexed).
+_UNBUILT = object()
+
 #: Journal entries retained for :meth:`PropertyGraph.delta_between`.  Once a
 #: version falls out of this window the method returns ``None`` and callers
 #: fall back to whole-version invalidation, so the bound trades memory for
@@ -131,6 +135,10 @@ class PropertyGraph:
         # compact_core() and fall back to the object representation when the
         # cached core is absent or stale.
         self._compact = None
+        # Endpoint-equality index: (version, property -> value -> node ids),
+        # filled one property at a time by node_ids_with() and valid for that
+        # version only, so a write makes the next lookup rebuild it.
+        self._property_index: tuple[int, dict[str, Any]] = (-1, {})
         # Delta tracking: a bounded journal of recent mutations, consumed by
         # delta_between().  _journal_floor is the highest version the journal
         # can no longer describe (records at or below it were trimmed).
@@ -411,9 +419,46 @@ class PropertyGraph:
         """Iterate over edges without materializing a list."""
         return iter(self._edges.values())
 
+    def edge_index_of(self, edge_id: str) -> int:
+        """Return the position of ``edge_id`` in :meth:`edges` (insertion order)."""
+        try:
+            return self._edge_slot[edge_id]
+        except KeyError:
+            raise UnknownObjectError(f"unknown edge: {edge_id!r}") from None
+
     # ------------------------------------------------------------------
-    # Adjacency and label indexes
+    # Adjacency, label and property indexes
     # ------------------------------------------------------------------
+    def node_ids_with(self, name: str, value: Any) -> tuple[str, ...] | None:
+        """Ids of the nodes whose property ``name`` equals ``value``, in insertion order.
+
+        The endpoint-equality index behind ``first.p = v`` lookups
+        (:func:`~repro.algebra.expressions.endpoint_ids_input`).  A property is
+        indexed on its first lookup, from the current node objects under the
+        lock, and the map serves every lookup until the next write bumps
+        :attr:`version`; nothing is built before a query asks.  The answer is
+        what ``first.name = value`` keeps: nodes lacking the property or
+        holding ``None`` never match, and ``1``, ``1.0`` and ``True`` match
+        each other as ``==`` does.  ``value`` must be hashable and equal to
+        itself (not NaN, which a dict would match by identity).  Returns
+        ``None`` when some node holds an unhashable value for ``name``: the
+        caller must then compare node by node.
+        """
+        version, by_property = self._property_index
+        by_value = by_property.get(name, _UNBUILT) if version == self._version else _UNBUILT
+        if by_value is _UNBUILT:
+            with self._lock:
+                version, by_property = self._property_index
+                if version != self._version:
+                    by_property = {}
+                    self._property_index = (self._version, by_property)
+                by_value = by_property.get(name, _UNBUILT)
+                if by_value is _UNBUILT:
+                    by_value = by_property[name] = value_index(
+                        (node.id, node.property(name)) for node in self._node_list
+                    )
+        return None if by_value is None else by_value.get(value, ())
+
     def out_edges(self, node_id: str) -> list[Edge]:
         """Return the edges whose source is ``node_id``."""
         if node_id not in self._nodes:
@@ -455,6 +500,10 @@ class PropertyGraph:
     def edges_by_label(self, label: str) -> list[Edge]:
         """Return the edges labelled ``label`` (possibly empty)."""
         return [self._edges[eid] for eid in self._edges_by_label.get(label, [])]
+
+    def num_edges_labelled(self, label: str) -> int:
+        """Return ``len(edges_by_label(label))`` without building the list."""
+        return len(self._edges_by_label.get(label, ()))
 
     def node_labels(self) -> set[str]:
         """Return the set of labels used by at least one node."""
@@ -667,11 +716,13 @@ class PropertyGraph:
         # (and the process pool ships the CompactGraph itself when the whole
         # graph is frozen), so the wire payload stays the object graph only.
         state["_compact"] = None
+        state["_property_index"] = (-1, {})
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self.__dict__.setdefault("_compact", None)
+        self.__dict__.setdefault("_property_index", (-1, {}))
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -700,6 +751,29 @@ class PropertyGraph:
         return materialize(
             self, name or f"{self.name}[{','.join(sorted(wanted))}]", edge_labels=wanted
         )
+
+
+def value_index(pairs: Iterable[tuple[str, Any]]) -> dict[Any, tuple[str, ...]] | None:
+    """Group ``(node id, value)`` pairs into ``value -> ids`` (in pair order).
+
+    ``None`` values are left out, as ``first.p = v`` never matches them.
+    Returns ``None`` if a value is unhashable: a dict cannot hold it, and a
+    comparison might still find it equal to a hashable one (``{1} ==
+    frozenset({1})``).
+    """
+    index: dict[Any, list[str]] = {}
+    for node_id, value in pairs:
+        if value is None:
+            continue
+        try:
+            bucket = index.get(value)
+        except TypeError:
+            return None
+        if bucket is None:
+            index[value] = [node_id]
+        else:
+            bucket.append(node_id)
+    return {value: tuple(ids) for value, ids in index.items()}
 
 
 def materialize(

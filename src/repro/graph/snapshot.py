@@ -192,9 +192,28 @@ class GraphSnapshot:
         """Iterate over the edges present at snapshot time."""
         return iter(self.edges())
 
+    def edge_index_of(self, edge_id: str) -> int:
+        """Return the position of ``edge_id`` in :meth:`edges` (insertion order)."""
+        if not self._has_edge(edge_id):
+            raise UnknownObjectError(f"unknown edge: {edge_id!r}")
+        return self._parent._edge_slot[edge_id]
+
     # ------------------------------------------------------------------
-    # Adjacency and label indexes (filtered by version)
+    # Adjacency, label and property indexes (filtered by version)
     # ------------------------------------------------------------------
+    def node_ids_with(self, name: str, value: Any) -> tuple[str, ...] | None:
+        """The parent's :meth:`~PropertyGraph.node_ids_with`, kept to this version's nodes.
+
+        The parent indexes its current node objects, and those are what
+        :meth:`node` returns here too (a property write replaces the object
+        in place), so the answer is what ``first.name = value`` keeps over
+        this view.
+        """
+        ids = self._parent.node_ids_with(name, value)
+        if ids is None:
+            return None
+        return tuple(node_id for node_id in ids if self._has_node(node_id))
+
     def out_edges(self, node_id: str) -> list[Edge]:
         """Return the edges whose source is ``node_id``, as of this version."""
         if not self._has_node(node_id):
@@ -260,6 +279,16 @@ class GraphSnapshot:
             for eid in parent._edges_by_label.get(label, ())
             if edge_version[eid] <= self._version
         ]
+
+    def num_edges_labelled(self, label: str) -> int:
+        """Return the number of edges labelled ``label`` as of this version."""
+        # The label's id list is in insertion order: only a tail can be newer.
+        ids = self._parent._edges_by_label.get(label, ())
+        edge_version = self._parent._edge_version
+        count = len(ids)
+        while count and edge_version[ids[count - 1]] > self._version:
+            count -= 1
+        return count
 
     def node_labels(self) -> set[str]:
         """Return the labels used by at least one node as of this version."""

@@ -46,13 +46,9 @@ class PathSet:
         return cls.from_unique(node_paths(graph))
 
     @classmethod
-    def edges_of(cls, graph: PropertyGraph, label: str | None = None) -> "PathSet":
-        """``Edges(G)`` — all length-one paths of the graph.
-
-        With ``label``, only the edges carrying it, read off the graph's
-        label index (what filtering the full set by that label would keep).
-        """
-        return cls.from_unique(edge_paths(graph, label))
+    def edges_of(cls, graph: PropertyGraph) -> "PathSet":
+        """``Edges(G)`` — all length-one paths of the graph."""
+        return cls.from_unique(edge_paths(graph))
 
     @classmethod
     def empty(cls) -> "PathSet":

@@ -1,12 +1,14 @@
 """The pre-access-path executors, kept verbatim as the test oracle.
 
-Before scans read the label index and joins expanded along adjacency, both
-executors realized ``σ[c](Edges(G))`` as a filter over a full scan and every
+Before scans read the label and endpoint indexes and joins expanded along
+adjacency, both executors realized ``σ[c](Edges(G))`` as a filter over a full
+scan, a seeded closure's seeds as a filter over its whole base, and every
 ``⋈`` as a hash join built over its whole right operand.  Those bodies live
 on here — ``Edges(G)`` with its compact-or-not branch, the evaluator's
-selection, the pipeline's scan / filter / hash-join operators and the
-``_build`` branches that wired them (the other operators are the live ones)
-— so ``test_access_paths`` can demand the same
+selection and hash join, the pipeline's scan / filter / hash-join operators
+and the ``_build`` branches that wired them (the other operators are the
+live ones; the seeds are filtered because the oracle's selections never ask
+``seeded_closure_input``) — so ``test_access_paths`` can demand the same
 rows *in the same order* from the index-backed route.  This is the only
 place the naive route survives; nothing in ``src/`` can select it.
 
@@ -84,6 +86,12 @@ class ReferenceEvaluator(Evaluator):
         result = child.filter(expression.condition.evaluate)
         return self._record(expression, result)
 
+    def _eval_join(self, expression: Join) -> PathSet:
+        left = self._eval_paths(expression.left, "join")
+        right = self._eval_paths(expression.right, "join")
+        result = left.join(right, budget=self.budget)
+        return self._record(expression, result, already_charged=True)
+
 
 class _EdgesScanOp(_PhysicalOperator):
     def __init__(self, graph, statistics, budget=None) -> None:
@@ -160,6 +168,7 @@ def _build(plan, graph, statistics, default_max_length, budget=None) -> _Physica
         return physical._RecursiveOp(
             plan,
             _build(plan.child, graph, statistics, default_max_length, budget),
+            graph,
             statistics,
             default_max_length,
             budget,

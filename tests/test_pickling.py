@@ -64,6 +64,25 @@ class TestGraphPickling:
         with pytest.raises(FrozenGraphError):
             clone.add_node("nope", "Person")
 
+    def test_endpoint_index_is_not_shipped(self) -> None:
+        """The endpoint-equality index is a derived cache like the core: an
+        indexed query leaves it on the graph, the clone starts without it and
+        builds its own on its first anchored query, with the same answers."""
+        anchored = 'MATCH ALL TRAIL p = (?x {name: "Moe"})-[Knows]->+(?y)'
+        for graph in (figure1_graph(), figure1_graph().freeze()):
+            expected = [str(p) for p in PathQueryEngine(graph).query(anchored).paths]
+            assert graph._property_index[1]
+            clone = roundtrip(graph)
+            assert clone._property_index == (-1, {})
+            assert [str(p) for p in PathQueryEngine(clone).query(anchored).paths] == expected
+            assert list(clone._property_index[1]) == ["name"]
+        compact = figure1_graph().ensure_compact()
+        expected = [str(p) for p in PathQueryEngine(compact).query(anchored).paths]
+        assert compact._property_index
+        clone = roundtrip(compact)
+        assert clone._property_index == {}
+        assert [str(p) for p in PathQueryEngine(clone).query(anchored).paths] == expected
+
     def test_wire_path_encoding_round_trips(self) -> None:
         graph = figure1_graph()
         paths = PathQueryEngine(graph).query(QUERY).paths

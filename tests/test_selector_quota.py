@@ -138,7 +138,7 @@ def test_selector_routes_return_the_crown_rows_in_order(index: int) -> None:
                                 continue
                             assert rows == expected, context
                             quota = any(
-                                note == QUOTA_NOTE for note in access_paths(result.optimized_plan, False)
+                                note == QUOTA_NOTE for note in access_paths(result.optimized_plan)
                             )
                             assert quota is (selector == "ANY SHORTEST" and optimize), context
                             if executor == "pipeline" and len(expected) > 1:
@@ -176,7 +176,7 @@ def test_no_collapse_over_a_multi_edge_base(pattern: str, restrictor: str) -> No
         engine = PathQueryEngine(graph)
         result = engine.query(text, 4)
         assert "walk-to-shortest" not in result.applied_rules, text
-        assert QUOTA_NOTE not in access_paths(result.optimized_plan, True)
+        assert QUOTA_NOTE not in access_paths(result.optimized_plan)
         plain = PathQueryEngine(graph, optimize=False).query(text, 4, executor="materialize")
         assert _rows(result.paths) == _rows(plain.paths)
 
@@ -186,7 +186,7 @@ def test_no_collapse_for_acyclic() -> None:
     for graph in CORPUS:
         result = PathQueryEngine(graph).query(text)
         assert "walk-to-shortest" not in result.applied_rules
-        assert QUOTA_NOTE not in access_paths(result.optimized_plan, False)
+        assert QUOTA_NOTE not in access_paths(result.optimized_plan)
         # ACYCLIC has no closed paths; the collapsed plan would keep them.
         assert all(path.first() != path.last() for path in result.paths)
 
@@ -202,13 +202,13 @@ def test_a_path_residual_keeps_the_crown(residual) -> None:
     closure = Recursive(KNOWS, Restrictor.SHORTEST, 4)
     plan = _any_shortest(Selection(condition, closure))
     assert shortest_selector_input(plan) is None
-    assert QUOTA_NOTE not in access_paths(plan, False)
+    assert QUOTA_NOTE not in access_paths(plan)
     for graph in CORPUS:
         expected = None
         for executor in EXECUTORS:
             for optimize in (True, False):
                 result = PathQueryEngine(graph, optimize=optimize).query_plan(plan, executor=executor)
-                assert QUOTA_NOTE not in access_paths(result.optimized_plan, executor == "pipeline")
+                assert QUOTA_NOTE not in access_paths(result.optimized_plan)
                 if expected is None:
                     expected = _rows(result.paths)
                 assert _rows(result.paths) == expected, (graph.name, executor, optimize)
@@ -242,7 +242,7 @@ def test_a_path_residual_blocks_the_collapse(restrictor: str, selector: str, whe
     for executor in EXECUTORS:
         result = PathQueryEngine(graph).query(text, 4, executor=executor)
         assert "walk-to-shortest" not in result.applied_rules, (text, executor)
-        assert QUOTA_NOTE not in access_paths(result.optimized_plan, executor == "pipeline")
+        assert QUOTA_NOTE not in access_paths(result.optimized_plan)
         assert _rows(result.paths) == expected, (text, executor)
 
 
